@@ -1,9 +1,9 @@
 //! Goodput of the reliable-delivery layer as the fabric degrades.
 //!
-//! Sweeps `drop_p` ∈ {0, 0.01, 0.02, 0.05, 0.10, 0.20} over a
-//! [`LossyNetwork`] with a fixed side order of duplication and reordering
+//! Sweeps `drop_p` ∈ {0, 0.01, 0.02, 0.05, 0.10, 0.20} over the inline
+//! [`LoopbackNetwork`] with a fixed side order of duplication and reordering
 //! (`dup_p = reorder_p = 0.02`), pushing a stream of reliable puts through
-//! [`rvma_core::ReliableInitiator`] and measuring delivered goodput plus
+//! its retransmitting [`rvma_core::Initiator`] and measuring delivered goodput plus
 //! the retransmission overhead the retry layer paid to keep every epoch
 //! byte-exact. The seeded dice make every row reproducible.
 //!
@@ -18,8 +18,8 @@
 
 use rvma_bench::{print_table, write_csv};
 use rvma_core::{
-    EndpointConfig, FaultModel, LossyNetwork, NodeAddr, RetryConfig, TelemetrySnapshot, Threshold,
-    VirtAddr,
+    DeliveryOrder, EndpointConfig, FaultModel, LoopbackNetwork, NodeAddr, TelemetrySnapshot,
+    Threshold, VirtAddr,
 };
 use std::time::Instant;
 
@@ -52,23 +52,22 @@ fn run_point(cfg: &Config, drop_p: f64, telemetry: bool) -> (Sample, Option<Tele
     };
     let endpoint_config = EndpointConfig {
         dedup_window: 1 << 15,
+        fault_model: model,
+        fault_seed: SEED,
+        // The default 8-round budget is sized for drop_p ≈ 0.05; at the
+        // sweep's 0.20 tail a fragment survives all 8 rounds with
+        // p ≈ 0.22^8 ≈ 5e-6, which across ~10^5 fragments fails a run every
+        // few sweeps. A deeper budget keeps the sweep deterministic without
+        // affecting the measured goodput at realistic loss rates (extra
+        // rounds only run when needed).
+        retry_budget: 32,
         telemetry,
         ..Default::default()
     };
-    let net = LossyNetwork::with_config(cfg.mtu, model, SEED, endpoint_config);
+    let net =
+        LoopbackNetwork::for_endpoint_config(cfg.mtu, DeliveryOrder::InOrder, &endpoint_config);
     let server = net.add_endpoint(NodeAddr::node(0));
-    // The default 8-round budget is sized for drop_p ≈ 0.05; at the sweep's
-    // 0.20 tail a fragment survives all 8 rounds with p ≈ 0.22^8 ≈ 5e-6,
-    // which across ~10^5 fragments fails a run every few sweeps. A deeper
-    // budget keeps the sweep deterministic without affecting the measured
-    // goodput at realistic loss rates (extra rounds only run when needed).
-    let init = net.reliable_initiator_with(
-        NodeAddr::node(1),
-        RetryConfig {
-            max_attempts: 32,
-            ..Default::default()
-        },
-    );
+    let init = net.initiator(NodeAddr::node(1));
     let vaddr = VirtAddr::new(0x10);
     let win = server
         .init_window(vaddr, Threshold::bytes(cfg.msg_bytes as u64))
@@ -98,7 +97,7 @@ fn run_point(cfg: &Config, drop_p: f64, telemetry: bool) -> (Sample, Option<Tele
     let sample = Sample {
         goodput_mbps: bytes / elapsed.as_secs_f64() / 1e6,
         retransmit_rate: (transmissions - fragments) as f64 / fragments as f64,
-        dropped: net.dropped(),
+        dropped: net.fault_stats().dropped(),
     };
     (sample, net.telemetry().map(|t| t.snapshot()))
 }

@@ -1,26 +1,23 @@
-//! Small-message put rate: the batched submission path vs the seed path.
+//! Small-message put rate: per-put submission vs doorbell batching.
 //!
 //! RVMA's receive side amortizes per-message costs (one LUT lookup, one
 //! counter update — paper Fig. 6); this benchmark measures the matching
-//! initiator-side work. The seed/PR-1 submission path paid, per put: an
-//! endpoint-table `RwLock` read, a fresh payload allocation, a fragment
-//! vector, and one channel send + NACK-sink Arc clone per fragment. The
-//! batched path replaces those with a lock-free route cache, a recycling
-//! payload pool, an inline single-fragment fast path, and doorbell
-//! batching that crosses the channel once per batch.
+//! initiator-side work. Every put resolves its route through a lock-free
+//! route cache, stages its payload in a recycling pool, and rides the
+//! inline single-fragment fast path; batching additionally crosses the
+//! wire ring once per doorbell instead of once per put.
 //!
 //! Setup: 8 sender threads, each streaming small puts (8–256 B, far below
 //! the MTU) to its own mailbox on one server endpoint, zero wire latency —
 //! so the measurement is pure per-message overhead. Each sender paces
 //! itself against its mailbox's lock-free epoch-progress counter to bound
-//! queue depth. Three submission paths share the identical delivery
+//! queue depth. Two submission paths share the identical delivery
 //! fabric:
 //!
-//! * `legacy`  — `put_at_legacy`, the seed/PR-1 path (the A/B baseline);
-//! * `put`     — the reworked `put_at` (route cache + pool + inline path);
+//! * `put`     — `put_at`, one ring crossing per put (the base);
 //! * `batch`   — a `PutBatch` with the default doorbell threshold.
 //!
-//! `speedup` is against `legacy` at the same message size and worker
+//! `speedup` is against `put` at the same message size and worker
 //! count. Every (size, workers, path) cell is the **median of several
 //! interleaved trials**: with all sender and worker threads timesharing
 //! whatever cores the container grants, single-shot rates swing wildly
@@ -42,8 +39,12 @@
 //! the receiver's completion-discovery structure differs. Rates are
 //! completions consumed per second on the one receiver thread
 //! (ops/thread), duration-bounded so the O(N²) lane terminates.
+//!
+//! Flags: `--quick` (single-shot CI smoke, no CSV), `--async` (receiver
+//! lane only), `--shm` (cross-process lane only). Any other argument
+//! exits with status 2.
 
-use rvma_bench::{print_table, write_csv};
+use rvma_bench::{print_table, reject_unknown_flags, write_csv};
 use rvma_core::transport::DeliveryOrder;
 use rvma_core::{
     shm_supported, wait_any_timeout, AsyncNetwork, CompletionQueue, EndpointConfig, NodeAddr,
@@ -61,7 +62,6 @@ const SLOTS: usize = 2048;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Path {
-    Legacy,
     Put,
     Batch,
 }
@@ -69,7 +69,6 @@ enum Path {
 impl Path {
     fn name(self) -> &'static str {
         match self {
-            Path::Legacy => "legacy",
             Path::Put => "put",
             Path::Batch => "batch",
         }
@@ -108,7 +107,6 @@ fn run_rate(msg_bytes: usize, puts: u64, workers: usize, path: Path) -> f64 {
                     }
                     let off = (k as usize % SLOTS) * msg_bytes;
                     match path {
-                        Path::Legacy => init.put_at_legacy(dest, vaddr, off, &payload),
                         Path::Put => init.put_at(dest, vaddr, off, &payload),
                         Path::Batch => batch.put_at(dest, vaddr, off, &payload),
                     }
@@ -307,6 +305,7 @@ fn main() {
         shm_child(&args[pos + 1..]);
         return;
     }
+    reject_unknown_flags(&args, &["--quick", "--async", "--shm"]);
     let quick = args.iter().any(|a| a == "--quick");
     let async_only = args.iter().any(|a| a == "--async");
     let shm_only = args.iter().any(|a| a == "--shm");
@@ -373,12 +372,12 @@ fn main() {
              median of {trials} trial(s), MTU 1024, zero wire latency\n"
         );
 
-        const PATHS: [Path; 3] = [Path::Legacy, Path::Put, Path::Batch];
+        const PATHS: [Path; 2] = [Path::Put, Path::Batch];
         for &size in sizes {
             for workers in [1usize, 8] {
-                // Interleave: each trial round measures all three paths
+                // Interleave: each trial round measures both paths
                 // back-to-back so slow phases of the box hit them alike.
-                let mut samples: [Vec<f64>; 3] = Default::default();
+                let mut samples: [Vec<f64>; 2] = Default::default();
                 for _ in 0..trials {
                     for (p, &path) in PATHS.iter().enumerate() {
                         samples[p].push(run_rate(size, puts, workers, path));
@@ -402,7 +401,7 @@ fn main() {
         print_table(&headers, &rows);
         println!(
             "\nSame delivery fabric in every row; only the submission path differs.\n\
-             legacy = seed/PR-1 path (RwLock + alloc + send per fragment).\n"
+             speedup_vs_base = vs put at the same size and worker count.\n"
         );
     }
 

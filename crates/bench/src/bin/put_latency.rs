@@ -10,18 +10,11 @@
 //! completion handoff) targets exactly the tail that means and medians
 //! hide.
 //!
-//! Two configurations share the identical delivery fabric:
+//! The `tuned` lane is the current datapath: bounded wire rings with a
+//! spin → yield → park idle policy on the workers, and the lock-free
+//! spin-then-park completion slot.
 //!
-//! * `tuned`    — the current datapath: bounded wire rings with a spin →
-//!   yield → park idle policy on the workers, and the lock-free
-//!   spin-then-park completion slot.
-//! * `baseline` — the pre-rework behavior, recreated through config: an
-//!   effectively unbounded ring (cap 2^20), workers that park immediately
-//!   when the ring is empty (a futex wake per message, like the old
-//!   channel), and `notify_baseline` (mutex + unconditional
-//!   `notify_all` completion, no waiter spin phase).
-//!
-//! A third lane, `async`, shares the tuned fabric but completes through
+//! A second lane, `async`, shares the tuned fabric but completes through
 //! the Future/Waker path: the receiver pre-posts with
 //! `post_pooled_async` and `block_on`s the returned future. Against
 //! `tuned` it bounds the async machinery's single-op overhead — the waker
@@ -30,7 +23,7 @@
 //! avoids; the async lane buys scalability (thousands of cheap parked
 //! futures), not single-op latency.
 //!
-//! A fourth lane, `--shm`, leaves the process: the receiver is this
+//! A third lane, `--shm`, leaves the process: the receiver is this
 //! binary re-exec'd as a shared-memory [`ShmServer`] (`--shm-child`
 //! role), and each sample times `put_notify_at` → `block_on` on the
 //! [`ShmClient`]. Unlike the in-process lanes (timed to the completing
@@ -39,12 +32,12 @@
 //! honest unit of cost for a cross-process initiator, which cannot
 //! observe the remote completing write directly.
 //!
-//! Flags: `--quick` (tiny CI smoke, no CSV), `--baseline` / `--tuned` /
-//! `--async` (run only that configuration), `--shm` (run only the
-//! cross-process lane). Default runs the three in-process lanes and
-//! writes `results/put_latency.csv`.
+//! Flags: `--quick` (tiny CI smoke, no CSV), `--tuned` / `--async` (run
+//! only that configuration), `--shm` (run only the cross-process lane).
+//! Default runs both in-process lanes and writes
+//! `results/put_latency.csv`. Any other argument exits with status 2.
 
-use rvma_bench::{print_table, write_csv};
+use rvma_bench::{print_table, reject_unknown_flags, write_csv};
 use rvma_core::transport::DeliveryOrder;
 use rvma_core::{
     shm_supported, AsyncNetwork, EndpointConfig, NodeAddr, ShmClient, ShmServer, Threshold,
@@ -56,23 +49,8 @@ use std::time::{Duration, Instant};
 /// cross from the inline single-fragment path into the batched path).
 const SIZES: [usize; 5] = [8, 64, 512, 2048, 4096];
 
-fn config_for(baseline: bool) -> EndpointConfig {
-    if baseline {
-        EndpointConfig {
-            wire_queue_cap: 1 << 20,
-            wire_idle_spins: 0,
-            wire_idle_yields: 0,
-            notify_baseline: true,
-            ..EndpointConfig::default()
-        }
-    } else {
-        EndpointConfig::default()
-    }
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Lane {
-    Baseline,
     Tuned,
     /// Tuned fabric, Future/Waker completion: `post_pooled_async` +
     /// `block_on` instead of `Notification::wait`.
@@ -81,12 +59,7 @@ enum Lane {
 
 /// All measured round-trip samples (ns), in issue order.
 fn run(size: usize, warmup: usize, iters: usize, lane: Lane) -> Vec<u64> {
-    let net = AsyncNetwork::for_endpoint_config(
-        DEFAULT_MTU,
-        DeliveryOrder::InOrder,
-        Duration::ZERO,
-        &config_for(lane == Lane::Baseline),
-    );
+    let net = AsyncNetwork::new(DEFAULT_MTU, DeliveryOrder::InOrder, Duration::ZERO);
     let server = net.add_endpoint(NodeAddr::node(0));
     let client = net.initiator(NodeAddr::node(1));
     let vaddr = VirtAddr::new(1);
@@ -240,8 +213,8 @@ fn main() {
         shm_child(&args[pos + 1..]);
         return;
     }
+    reject_unknown_flags(&args, &["--quick", "--tuned", "--async", "--shm"]);
     let quick = args.iter().any(|a| a == "--quick");
-    let only_baseline = args.iter().any(|a| a == "--baseline");
     let only_tuned = args.iter().any(|a| a == "--tuned");
     let only_async = args.iter().any(|a| a == "--async");
     let only_shm = args.iter().any(|a| a == "--shm");
@@ -292,15 +265,10 @@ fn main() {
         return;
     }
 
-    let configs: &[(&str, Lane)] = match (only_baseline, only_tuned, only_async) {
-        (true, false, false) => &[("baseline", Lane::Baseline)],
-        (false, true, false) => &[("tuned", Lane::Tuned)],
-        (false, false, true) => &[("async", Lane::Async)],
-        _ => &[
-            ("baseline", Lane::Baseline),
-            ("tuned", Lane::Tuned),
-            ("async", Lane::Async),
-        ],
+    let configs: &[(&str, Lane)] = match (only_tuned, only_async) {
+        (true, false) => &[("tuned", Lane::Tuned)],
+        (false, true) => &[("async", Lane::Async)],
+        _ => &[("tuned", Lane::Tuned), ("async", Lane::Async)],
     };
 
     println!(
@@ -312,11 +280,11 @@ fn main() {
         "config", "size_B", "iters", "p50_ns", "p90_ns", "p99_ns", "p999_ns", "min_ns", "mean_ns",
     ];
     let mut rows = Vec::new();
-    // (size, baseline, tuned, async) — whichever lanes ran.
-    type Cell = (usize, Option<Summary>, Option<Summary>, Option<Summary>);
+    // (size, tuned, async) — whichever lanes ran.
+    type Cell = (usize, Option<Summary>, Option<Summary>);
     let mut per_size: Vec<Cell> = Vec::new();
     for &size in &SIZES {
-        let mut cell: Cell = (size, None, None, None);
+        let mut cell: Cell = (size, None, None);
         for &(name, lane) in configs {
             let s = summarize(run(size, warmup, iters, lane));
             rows.push(vec![
@@ -331,41 +299,19 @@ fn main() {
                 s.mean.to_string(),
             ]);
             match lane {
-                Lane::Baseline => cell.1 = Some(s),
-                Lane::Tuned => cell.2 = Some(s),
-                Lane::Async => cell.3 = Some(s),
+                Lane::Tuned => cell.1 = Some(s),
+                Lane::Async => cell.2 = Some(s),
             }
         }
         per_size.push(cell);
     }
     print_table(&headers, &rows);
 
-    // A/B verdicts for whichever pairs ran.
-    if per_size
-        .iter()
-        .any(|(_, b, t, _)| b.is_some() && t.is_some())
-    {
-        println!("\ntuned vs baseline (same fabric, config-only difference):");
-        for (size, baseline, tuned, _) in &per_size {
-            let (Some(b), Some(t)) = (baseline, tuned) else {
-                continue;
-            };
-            println!(
-                "  {size:>5} B: p50 {:.2}x, p99 {:.2}x, p999 {:.2}x  (baseline/tuned; >1 = tuned faster)",
-                b.p50 as f64 / t.p50 as f64,
-                b.p99 as f64 / t.p99 as f64,
-                b.p999 as f64 / t.p999 as f64,
-            );
-        }
-    }
-    if per_size
-        .iter()
-        .any(|(_, _, t, a)| t.is_some() && a.is_some())
-    {
+    if per_size.iter().any(|(_, t, a)| t.is_some() && a.is_some()) {
         println!(
             "\nasync vs tuned (same fabric; async-path single-op overhead, <1 = async slower):"
         );
-        for (size, _, tuned, async_) in &per_size {
+        for (size, tuned, async_) in &per_size {
             let (Some(t), Some(a)) = (tuned, async_) else {
                 continue;
             };

@@ -18,3 +18,13 @@ pub use sweep::{
     factor2, factor3, motif_matrix, topology_for, MatrixCell, SweepConfig, TopologyFamily,
     LINK_SPEEDS_GBPS,
 };
+
+/// Exit with status 2 unless every argument is one of the `known` flags: a
+/// typo'd or retired flag must fail loudly instead of silently running the
+/// default configuration.
+pub fn reject_unknown_flags(args: &[String], known: &[&str]) {
+    if let Some(bad) = args.iter().find(|a| !known.contains(&a.as_str())) {
+        eprintln!("unknown argument {bad:?}; accepted: {}", known.join(" "));
+        std::process::exit(2);
+    }
+}

@@ -27,7 +27,7 @@ use crate::buffer::{CompletedBuffer, EpochType, Threshold};
 use crate::endpoint::RvmaEndpoint;
 use crate::error::Result;
 use crate::notify::{Notification, NotifyFuture};
-use crate::transport::{Initiator, PutResult};
+use crate::transport::{Initiator, PutReport};
 use crate::transport_threaded::{AsyncInitiator, PutFuture};
 use crate::window::Window;
 use std::sync::Arc;
@@ -98,7 +98,7 @@ pub fn rvma_put(
     send_buffer: &[u8],
     dest_addr: NodeAddr,
     virtual_addr: VirtAddr,
-) -> Result<PutResult> {
+) -> Result<PutReport> {
     initiator.put(dest_addr, virtual_addr, send_buffer)
 }
 

@@ -24,6 +24,7 @@ use crate::telemetry::Telemetry;
 use crate::window::Window;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +45,41 @@ pub struct Fragment {
     pub data: Bytes,
 }
 
+/// The wire fragmentation rule every initiator shares: the byte ranges of
+/// a `len`-byte payload cut at `mtu`, in transmit order. A zero-byte put
+/// is one empty range — a single empty fragment that still counts as one
+/// operation at the target (op-counted synchronization puts).
+pub(crate) fn mtu_ranges(len: usize, mtu: usize) -> impl Iterator<Item = Range<usize>> {
+    let empty = (len == 0).then_some(0..0);
+    (0..len)
+        .step_by(mtu)
+        .map(move |start| start..(start + mtu).min(len))
+        .chain(empty)
+}
+
 impl Fragment {
+    /// Cut one operation's payload into its wire fragments
+    /// ([`mtu_ranges`]); each fragment is a zero-copy slice of `payload`.
+    pub(crate) fn split(
+        initiator: NodeAddr,
+        op_id: u64,
+        dst_vaddr: VirtAddr,
+        offset: usize,
+        payload: &Bytes,
+        mtu: usize,
+    ) -> Vec<Fragment> {
+        mtu_ranges(payload.len(), mtu)
+            .map(|range| Fragment {
+                initiator,
+                op_id,
+                dst_vaddr,
+                op_total_len: payload.len() as u64,
+                offset: offset + range.start,
+                data: payload.slice(range),
+            })
+            .collect()
+    }
+
     fn op_key(&self) -> OpKey {
         OpKey {
             op_id: self.op_id,
@@ -74,41 +109,28 @@ pub struct EndpointConfig {
     pub wire_workers: usize,
     /// Capacity (distinct operations remembered) of the per-mailbox
     /// receiver-side dedup window. 0 (the default) disables dedup,
-    /// preserving the documented unprotected behaviour of the lossy
-    /// boundary; the reliable-delivery paths require it enabled (see
-    /// [`crate::retry`]).
+    /// preserving the documented unprotected behaviour of an unreliable
+    /// fabric; retransmission through duplicating or deferring faults
+    /// requires it enabled (see [`crate::retry`]).
     pub dedup_window: usize,
-    /// Fault model a fault-injecting transport should apply to this
-    /// endpoint's traffic ([`FaultModel::NONE`] = reliable fabric).
+    /// Fault model a transport applies to this endpoint's traffic
+    /// ([`FaultModel::NONE`] = reliable fabric).
     pub fault_model: FaultModel,
     /// Seed of the transport's fault dice, for reproducible runs.
     pub fault_seed: u64,
-    /// Per-fragment transmit budget of the transport's link-level
-    /// retransmission (see `AsyncNetwork`): a faulted fragment is
-    /// redelivered up to this many times before the final attempt is made
-    /// fault-free, bounding completion time under any fault model.
+    /// Transmit budget per fragment. On the inline
+    /// [`LoopbackNetwork`](crate::transport::LoopbackNetwork) it is the
+    /// number of initiator retransmit rounds before
+    /// [`RvmaError::RetryExhausted`] (`1` = transmit once, exposing every
+    /// fault). On `AsyncNetwork` and the shared-memory transport it bounds
+    /// link-level retransmission: a faulted fragment is redelivered up to
+    /// this many times before the final attempt is made fault-free.
     pub retry_budget: u32,
     /// Capacity (messages) of each wire worker's bounded ring queue,
     /// rounded up to a power of two (min 2). A full ring exerts
     /// backpressure on submitters — `put` blocks until a slot frees, it
     /// never drops — so this also caps resident queue memory under incast.
     pub wire_queue_cap: usize,
-    /// Busy-poll iterations an idle wire worker spins on its ring before
-    /// it starts yielding. The spin phase is the latency fast path: a
-    /// fragment arriving within it is picked up without any scheduler
-    /// involvement. Both idle budgets are treated as 0 on a single-CPU
-    /// host, where an idle-spinning worker would hold the core its
-    /// producers need.
-    pub wire_idle_spins: u32,
-    /// `yield_now` rounds after the spin budget before the worker parks
-    /// (woken by the producers' doorbell). 0 with `wire_idle_spins` 0
-    /// parks immediately — the wake-per-message behaviour of the old
-    /// unbounded-channel datapath, kept reachable for A/B runs.
-    pub wire_idle_yields: u32,
-    /// Build notification slots in pre-rework baseline mode (payload under
-    /// the mutex, unconditional broadcast on complete) — the completion
-    /// half of the `put_latency --baseline` configuration.
-    pub notify_baseline: bool,
     /// Enable op-level telemetry ([`crate::telemetry`]): every datapath
     /// layer stamps put-lifecycle events into a shared lock-free
     /// recorder, drained via `Telemetry::snapshot`. Off by default; the
@@ -140,12 +162,15 @@ pub struct EndpointConfig {
     pub shm_bulk_bytes: usize,
 }
 
-/// Default idle spin budget of a wire worker (see
-/// [`EndpointConfig::wire_idle_spins`]).
+/// Busy-poll iterations an idle wire worker spins on its ring before it
+/// starts yielding. The spin phase is the latency fast path: a fragment
+/// arriving within it is picked up without any scheduler involvement. The
+/// threaded transport treats both idle budgets as 0 on a single-CPU host,
+/// where an idle-spinning worker would hold the core its producers need.
 pub const DEFAULT_WIRE_IDLE_SPINS: u32 = 4096;
 
-/// Default idle yield budget of a wire worker (see
-/// [`EndpointConfig::wire_idle_yields`]).
+/// `yield_now` rounds after the spin budget before an idle wire worker
+/// parks (woken by the producers' doorbell).
 pub const DEFAULT_WIRE_IDLE_YIELDS: u32 = 64;
 
 impl Default for EndpointConfig {
@@ -161,9 +186,6 @@ impl Default for EndpointConfig {
             fault_seed: 0x5EED,
             retry_budget: DEFAULT_RETRY_BUDGET,
             wire_queue_cap: DEFAULT_WIRE_QUEUE_CAP,
-            wire_idle_spins: DEFAULT_WIRE_IDLE_SPINS,
-            wire_idle_yields: DEFAULT_WIRE_IDLE_YIELDS,
-            notify_baseline: false,
             telemetry: false,
             shm_req_slots: DEFAULT_SHM_REQ_SLOTS,
             shm_rsp_slots: DEFAULT_SHM_RSP_SLOTS,

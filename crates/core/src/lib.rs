@@ -48,6 +48,36 @@
 //! # Ok::<(), rvma_core::RvmaError>(())
 //! ```
 //!
+//! The same network is also the lossy fabric: the fault model, its seed,
+//! receiver dedup and the initiator's retry budget all come from the
+//! [`EndpointConfig`] it is built with.
+//!
+//! ```
+//! use rvma_core::{
+//!     DeliveryOrder, EndpointConfig, FaultModel, LoopbackNetwork, NodeAddr, Threshold, VirtAddr,
+//!     DEFAULT_DEDUP_WINDOW,
+//! };
+//!
+//! let cfg = EndpointConfig {
+//!     fault_model: FaultModel { drop_p: 0.05, dup_p: 0.05, ..FaultModel::NONE },
+//!     fault_seed: 7,
+//!     dedup_window: DEFAULT_DEDUP_WINDOW,
+//!     ..EndpointConfig::default()
+//! };
+//! let net = LoopbackNetwork::for_endpoint_config(512, DeliveryOrder::OutOfOrder { seed: 7 }, &cfg);
+//! let server = net.add_endpoint(NodeAddr::node(0));
+//! let client = net.initiator(NodeAddr::node(1));
+//! let win = server.init_window(VirtAddr::new(0x1000), Threshold::bytes(4096))?;
+//! let mut done = win.post_buffer(vec![0u8; 4096])?;
+//!
+//! // The put retransmits lost fragments until every one is acknowledged;
+//! // dedup keeps duplicated ones from completing the epoch early.
+//! let report = client.put(NodeAddr::node(0), VirtAddr::new(0x1000), &vec![0xAB; 4096])?;
+//! assert_eq!(report.fragments, 8);
+//! assert!(done.poll().expect("epoch complete").data().iter().all(|&b| b == 0xAB));
+//! # Ok::<(), rvma_core::RvmaError>(())
+//! ```
+//!
 //! The [`api`] module additionally mirrors the paper's exact
 //! `RVMA_*` call names for side-by-side reading with the specification.
 
@@ -71,7 +101,6 @@ pub mod ring;
 pub mod shm;
 pub mod telemetry;
 pub mod transport;
-pub mod transport_lossy;
 pub mod transport_shm;
 pub mod transport_threaded;
 pub mod window;
@@ -96,16 +125,12 @@ pub use notify::{
 };
 pub use pool::{BufferPool, PayloadPool, PoolStats};
 pub use retry::{
-    DedupWindow, FaultInjector, FaultStats, PutReport, ReliableInitiator, RetryConfig,
-    DEFAULT_DEDUP_WINDOW, DEFAULT_RETRY_BUDGET,
+    DedupWindow, FaultInjector, FaultModel, FaultStats, DEFAULT_DEDUP_WINDOW, DEFAULT_RETRY_BUDGET,
 };
 pub use ring::{PushError, RingQueue, RingStats, RingStatsSnapshot, DEFAULT_WIRE_QUEUE_CAP};
 pub use shm::{shm_supported, ShmSegment};
 pub use telemetry::{Event, EventKind, Histogram, Span, Telemetry, TelemetrySnapshot};
-pub use transport::{DeliveryOrder, Initiator, LoopbackNetwork, PutResult, Transport, DEFAULT_MTU};
-pub use transport_lossy::{
-    FaultModel, InlineChannel, LossyInitiator, LossyNetwork, TransmitOutcome,
-};
+pub use transport::{DeliveryOrder, Initiator, LoopbackNetwork, PutReport, Transport, DEFAULT_MTU};
 pub use transport_shm::{shm_pair, BulkExtent, BulkStats, ShmClient, ShmServer};
 pub use transport_threaded::{
     AsyncInitiator, AsyncNetwork, PutBatch, PutDelivery, PutFuture, RouteStats,

@@ -32,11 +32,6 @@
 //! Ownership of the completed buffer transfers through the slot, which is
 //! the Rust-safe rendering of "the pointer to the data buffer is deposited
 //! into the notification address".
-//!
-//! For A/B measurement (`put_latency --baseline`), a slot built with
-//! [`NotificationSlot::with_baseline`] reproduces the pre-rework completer
-//! cost: payload stored under the mutex plus an unconditional
-//! `notify_all`, waiters unchanged.
 
 use crate::buffer::CompletedBuffer;
 use crate::cq::CqAttachment;
@@ -211,15 +206,12 @@ pub struct NotificationSlot {
     /// the condvar path only when this is non-zero (Dekker-paired with the
     /// state transition, both `SeqCst`).
     waiters: AtomicU32,
-    /// Reproduce the pre-rework completer cost (mutex + unconditional
-    /// broadcast) for A/B latency runs.
-    baseline: bool,
     /// The completed buffer "pointer + length", transferred to the waiter.
     /// Guarded by `state`: written by the sole completer before the
     /// `COMPLETE` transition, read by the sole consumer after it.
     payload: CheckCell<Option<CompletedBuffer>>,
     /// Pairs with `condvar` for the parked slow path. Never guards the
-    /// payload (except in baseline mode, where it reproduces the old cost).
+    /// payload.
     wake: Mutex<()>,
     /// Wakes parked waiters (the Monitor/MWait slow path).
     condvar: Condvar,
@@ -253,17 +245,9 @@ unsafe impl Sync for NotificationSlot {}
 impl NotificationSlot {
     /// A fresh, un-completed slot on the lock-free handoff path.
     pub fn new() -> Arc<Self> {
-        Self::with_baseline(false)
-    }
-
-    /// A fresh slot; `baseline = true` selects the pre-rework completer
-    /// behaviour (payload under mutex, unconditional `notify_all`) for A/B
-    /// latency measurement.
-    pub fn with_baseline(baseline: bool) -> Arc<Self> {
         Arc::new(NotificationSlot {
             state: AtomicU8::new(STATE_EMPTY),
             waiters: AtomicU32::new(0),
-            baseline,
             payload: CheckCell::new(None),
             wake: Mutex::new(()),
             condvar: Condvar::new(),
@@ -307,25 +291,6 @@ impl NotificationSlot {
     /// when a waiter has actually registered. Must be called at most once
     /// per slot; a second call panics in debug builds.
     pub(crate) fn complete(&self, buf: CompletedBuffer) {
-        if self.baseline {
-            // Pre-rework path, kept for `put_latency --baseline`: payload
-            // under the mutex, broadcast whether or not anyone listens.
-            {
-                let _guard = self.wake.lock();
-                // SAFETY: sole completer; consumers only read after the
-                // COMPLETE transition below.
-                debug_assert!(
-                    self.payload.with(|p| unsafe { (*p).is_none() }),
-                    "notification slot completed twice"
-                );
-                self.payload.with_mut(|p| unsafe { *p = Some(buf) });
-                let prev = self.state.swap(STATE_COMPLETE, Ordering::SeqCst);
-                debug_assert_eq!(prev, STATE_EMPTY, "notification slot completed twice");
-            }
-            self.condvar.notify_all();
-            any_event().signal();
-            return;
-        }
         // Clone for the CQ ready-list before publishing. The attachment is
         // made before posting, so it cannot race this read; the clone is an
         // Arc bump on the buffer's shared inner.
@@ -460,19 +425,18 @@ impl NotificationSlot {
         self.waiters.fetch_sub(1, Ordering::SeqCst);
         completed
     }
+}
 
-    /// One iteration of the pre-park spin phase. The reworked slot yields
-    /// the CPU every 256 spins: if the completer is runnable but not
-    /// running (oversubscribed or single-CPU host), a yield hands it the
-    /// core instead of burning the rest of the spin budget against a state
-    /// word that cannot change. The baseline slot keeps the pre-rework
-    /// pure busy-spin.
-    fn spin_step(&self, spins: u32) {
-        if !self.baseline && spins % 256 == 255 {
-            csync::thread::yield_now();
-        } else {
-            csync::spin_loop();
-        }
+/// One iteration of the pre-park spin phase, yielding the CPU every 256
+/// spins: if the completer is runnable but not
+/// running (oversubscribed or single-CPU host), a yield hands it the
+/// core instead of burning the rest of the spin budget against a state
+/// word that cannot change.
+fn spin_step(spins: u32) {
+    if spins % 256 == 255 {
+        csync::thread::yield_now();
+    } else {
+        csync::spin_loop();
     }
 }
 
@@ -642,7 +606,7 @@ impl Notification {
             if self.slot.is_complete() {
                 return self.take();
             }
-            self.slot.spin_step(spins);
+            spin_step(spins);
         }
         // Slow path: register and park.
         self.slot.park_until(None);
@@ -658,7 +622,7 @@ impl Notification {
             if self.slot.is_complete() {
                 return Some(self.take());
             }
-            self.slot.spin_step(spins);
+            spin_step(spins);
         }
         if self.slot.park_until(Some(deadline)) {
             Some(self.take())
@@ -942,18 +906,6 @@ mod tests {
         slot.complete(completed(1));
         let _ = n.poll();
         let _ = n.wait();
-    }
-
-    #[test]
-    fn baseline_slot_round_trips() {
-        let slot = NotificationSlot::with_baseline(true);
-        let mut n = Notification::new(slot.clone());
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            slot.complete(completed(6));
-        });
-        assert_eq!(n.wait().data(), &[6; 8]);
-        t.join().unwrap();
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! The reliable-delivery layer: fault modelling, receiver-side dedup, and
-//! initiator-side retransmission.
+//! The reliable-delivery layer: fault modelling and receiver-side dedup.
 //!
 //! RVMA (like RDMA) is specified over a **reliable** fabric: threshold
 //! counting is only sound when fragments are neither dropped (the epoch
 //! never completes) nor duplicated (the epoch completes *early*). Real HPC
 //! NICs get that guarantee from a link-level reliability layer — per-packet
-//! acks, retransmit timers, and receiver dedup windows. This module is that
-//! layer, rendered in software, in three pieces:
+//! acks, retransmit timers, and receiver dedup windows. This module holds
+//! the transport-independent pieces of that layer, rendered in software:
 //!
 //! * [`FaultModel`] / [`FaultInjector`] — a seeded, per-fragment fault
-//!   source (drop, duplicate, reorder, delay, endpoint crash) shared by
-//!   [`LossyNetwork`] and the fault-injected
-//!   [`AsyncNetwork`](crate::transport_threaded::AsyncNetwork) datapath,
-//!   with common counters in [`FaultStats`].
+//!   source (drop, duplicate, reorder, delay, endpoint crash) shared by the
+//!   inline [`LoopbackNetwork`](crate::transport::LoopbackNetwork), the
+//!   fault-injected [`AsyncNetwork`](crate::transport_threaded::AsyncNetwork)
+//!   datapath and the shared-memory server, with common counters in
+//!   [`FaultStats`].
 //! * [`DedupWindow`] — the receiver-side half: a bounded memory of
 //!   `(initiator, op_id, offset)` triples already accepted by a mailbox.
 //!   A fragment's offset within its operation *is* its sequence number
@@ -21,49 +21,36 @@
 //!   otherwise complete an epoch early — is detected and dropped without
 //!   touching the threshold counters. Enabled per endpoint via
 //!   [`EndpointConfig::dedup_window`](crate::endpoint::EndpointConfig).
-//! * [`ReliableInitiator`] / [`RetryConfig`] — the initiator-side half
-//!   over a [`LossyNetwork`]: fragments that produce no delivery ack are
-//!   retransmitted in rounds with configurable backoff until the retry
-//!   budget is spent ([`RvmaError::RetryExhausted`]); a NACK aborts the
-//!   operation immediately. Receiver dedup absorbs the duplicates that
-//!   retransmission inevitably creates, which is why
-//!   [`LossyNetwork::reliable_initiator`] requires it to be enabled.
 //!
+//! The initiator-side half — retransmitting unacknowledged fragments until
+//! the [`retry_budget`](crate::endpoint::EndpointConfig::retry_budget) is
+//! spent — lives with each transport (the inline
+//! [`Initiator`](crate::transport::Initiator)'s retransmit rounds, the
+//! link-level retransmission of the threaded and shared-memory wires).
 //! The recovery half for the *application* — rotating a partially-filled
 //! epoch after a timeout instead of wedging — lives in
 //! [`Window::recover_timeout`](crate::window::Window::recover_timeout) and
 //! [`MpixWindow::fence_recover`](crate::mpix::MpixWindow::fence_recover),
 //! mapping the paper's Secs. IV-E/IV-F fault-tolerance story (`MPIX_Rewind`
 //! over the retired-buffer ring) onto fabric faults.
-//!
-//! [`LossyNetwork`]: crate::transport_lossy::LossyNetwork
-//! [`LossyNetwork::reliable_initiator`]: crate::transport_lossy::LossyNetwork::reliable_initiator
-//! [`RvmaError::RetryExhausted`]: crate::error::RvmaError::RetryExhausted
 
-use crate::addr::{NodeAddr, VirtAddr};
-use crate::endpoint::{DeliverResult, Fragment};
-use crate::error::{Result, RvmaError};
 use crate::mailbox::OpKey;
-use crate::telemetry::{self, EventKind};
-use crate::transport_lossy::{LossyNetwork, TransmitOutcome};
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Default receiver-side dedup capacity (distinct operations remembered per
 /// mailbox) used when a caller wants dedup "on" without tuning it.
 pub const DEFAULT_DEDUP_WINDOW: usize = 1024;
 
 /// Default per-fragment transmit budget of the reliable paths (initiator
-/// retransmit rounds on [`LossyNetwork`], link-level retransmissions on the
-/// fault-injected `AsyncNetwork`). At a 5 % loss rate the chance a fragment
-/// survives 8 attempts undelivered is 0.05⁸ ≈ 4 × 10⁻¹¹.
-///
-/// [`LossyNetwork`]: crate::transport_lossy::LossyNetwork
+/// retransmit rounds on the inline
+/// [`LoopbackNetwork`](crate::transport::LoopbackNetwork), link-level
+/// retransmissions on the fault-injected `AsyncNetwork`). At a 5 % loss
+/// rate the chance a fragment survives 8 attempts undelivered is
+/// 0.05⁸ ≈ 4 × 10⁻¹¹.
 pub const DEFAULT_RETRY_BUDGET: u32 = 8;
 
 /// Fault model applied independently to each transmitted fragment.
@@ -355,266 +342,6 @@ impl DedupWindow {
     }
 }
 
-/// Retransmission policy of a [`ReliableInitiator`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryConfig {
-    /// Transmission rounds per operation before giving up with
-    /// [`RvmaError::RetryExhausted`]. The first round is the original
-    /// transmission, so `max_attempts = 1` disables retransmission.
-    pub max_attempts: u32,
-    /// Backoff slept after the first unsuccessful round. `ZERO` (the
-    /// default) retransmits immediately — right for an in-process fabric
-    /// where "time" is transmission order, and what keeps the seeded test
-    /// suite fast.
-    pub base_backoff: Duration,
-    /// Multiplier applied to the backoff after each further round.
-    pub backoff_multiplier: f64,
-    /// Upper bound on the per-round backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_attempts: DEFAULT_RETRY_BUDGET,
-            base_backoff: Duration::ZERO,
-            backoff_multiplier: 2.0,
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryConfig {
-    /// Backoff to sleep after `round` unsuccessful rounds (1-based):
-    /// `base · multiplier^(round − 1)`, clamped to
-    /// [`max_backoff`](RetryConfig::max_backoff).
-    pub fn backoff_for(&self, round: u32) -> Duration {
-        if self.base_backoff.is_zero() || round == 0 {
-            return Duration::ZERO;
-        }
-        let scale = self.backoff_multiplier.max(1.0).powi(round as i32 - 1);
-        let nanos =
-            (self.base_backoff.as_nanos() as f64 * scale).min(self.max_backoff.as_nanos() as f64);
-        Duration::from_nanos(nanos as u64).min(self.max_backoff)
-    }
-}
-
-/// What a reliable put did to get every fragment acknowledged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutReport {
-    /// Distinct fragments the operation comprises.
-    pub fragments: u64,
-    /// Total transmissions performed (≥ `fragments`; the excess is
-    /// retransmitted copies).
-    pub transmissions: u64,
-    /// Rounds used (1 = everything acknowledged on first transmission).
-    pub rounds: u32,
-}
-
-impl PutReport {
-    /// Retransmitted copies beyond the first transmission of each fragment.
-    pub fn retransmissions(&self) -> u64 {
-        self.transmissions - self.fragments
-    }
-}
-
-/// A retransmitting initiator over a [`LossyNetwork`]: the initiator half
-/// of the reliability layer. Each round transmits every not-yet-acked
-/// fragment; a delivery ack (including a receiver-side duplicate
-/// suppression, which proves the fragment landed earlier) retires it, a
-/// NACK aborts the operation, and fragments that vanish (dropped, deferred,
-/// or black-holed by a crashed endpoint) stay queued for the next round.
-pub struct ReliableInitiator {
-    net: Arc<LossyNetwork>,
-    src: NodeAddr,
-    next_op: AtomicU64,
-    retry: RetryConfig,
-    /// Payload bytes copied into staging storage on the eager path; the
-    /// zero-copy lane ([`put_bytes_at`](ReliableInitiator::put_bytes_at)
-    /// above the eager threshold) contributes nothing here.
-    staged: AtomicU64,
-}
-
-impl ReliableInitiator {
-    pub(crate) fn new(net: Arc<LossyNetwork>, src: NodeAddr, retry: RetryConfig) -> Self {
-        assert!(retry.max_attempts > 0, "retry budget must be positive");
-        ReliableInitiator {
-            net,
-            src,
-            next_op: AtomicU64::new(1),
-            retry,
-            staged: AtomicU64::new(0),
-        }
-    }
-
-    /// The initiator's source address.
-    pub fn src(&self) -> NodeAddr {
-        self.src
-    }
-
-    /// The retransmission policy.
-    pub fn retry_config(&self) -> RetryConfig {
-        self.retry
-    }
-
-    /// Reliable `RVMA_Put` at offset 0.
-    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<PutReport> {
-        self.put_at(dest, vaddr, 0, data)
-    }
-
-    /// Reliable `RVMA_Put` with an explicit buffer offset: retransmits
-    /// until every fragment is acknowledged, the target NACKs, or the
-    /// retry budget is spent.
-    pub fn put_at(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<PutReport> {
-        self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        let payload = Bytes::copy_from_slice(data);
-        self.put_payload(dest, vaddr, offset, payload)
-    }
-
-    /// Zero-copy reliable `RVMA_Put` of an owned payload. Above the
-    /// network's configured `eager_threshold` the fragments transmitted
-    /// (and retransmitted) are offset/len slices of `data`'s shared
-    /// allocation — no staging copy; the receiver-side gather is the
-    /// put's only copy. At or below the threshold this is exactly
-    /// [`put_at`](ReliableInitiator::put_at).
-    pub fn put_bytes_at(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: Bytes,
-    ) -> Result<PutReport> {
-        if data.len() <= self.net.endpoint_config().eager_threshold {
-            return self.put_at(dest, vaddr, offset, &data);
-        }
-        self.put_payload(dest, vaddr, offset, data)
-    }
-
-    /// Payload bytes this initiator copied into staging storage so far.
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged.load(Ordering::Relaxed)
-    }
-
-    /// The retransmit loop proper, lane-agnostic: fragments are always
-    /// slices of `payload`, whether that is a staged copy (eager) or the
-    /// caller's own allocation (zero-copy).
-    fn put_payload(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        payload: Bytes,
-    ) -> Result<PutReport> {
-        if !self.net.has_endpoint(dest) {
-            return Err(RvmaError::UnknownDestination);
-        }
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let telemetry = self.net.telemetry();
-        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
-        telemetry::record(
-            &telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            payload.len() as u64,
-        );
-        let total = payload.len() as u64;
-        let mtu = self.net.mtu();
-        // A zero-byte put is a single empty fragment (one counted op).
-        let ranges: Vec<(usize, usize)> = if payload.is_empty() {
-            vec![(0, 0)]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|s| (s, (s + mtu).min(payload.len())))
-                .collect()
-        };
-        let mut acked = vec![false; ranges.len()];
-        let mut transmissions = 0u64;
-        let mut rounds = 0u32;
-        while rounds < self.retry.max_attempts {
-            for (i, &(s, e)) in ranges.iter().enumerate() {
-                if acked[i] {
-                    continue;
-                }
-                let frag = Fragment {
-                    initiator: self.src,
-                    op_id,
-                    dst_vaddr: vaddr,
-                    op_total_len: total,
-                    offset: offset + s,
-                    data: payload.slice(s..e),
-                };
-                transmissions += 1;
-                if rounds > 0 {
-                    // Every transmission of a fragment beyond its first.
-                    telemetry::record(
-                        &telemetry,
-                        EventKind::Retransmit,
-                        src_key,
-                        op_id,
-                        rounds as u64,
-                    );
-                }
-                match self.net.transmit(dest, frag) {
-                    TransmitOutcome::Delivered(first, second) => {
-                        for r in std::iter::once(first).chain(second) {
-                            match r {
-                                // A Duplicate ack proves an earlier copy
-                                // (e.g. one released from a deferral hold)
-                                // already landed.
-                                DeliverResult::Ok { .. } | DeliverResult::Duplicate => {
-                                    acked[i] = true;
-                                }
-                                DeliverResult::Nack(reason) => {
-                                    return Err(RvmaError::Nacked(reason));
-                                }
-                                // NACKs disabled at the target: the
-                                // initiator learns nothing; the budget
-                                // expires like a timeout.
-                                DeliverResult::Dropped(_) => {}
-                            }
-                        }
-                    }
-                    TransmitOutcome::Lost | TransmitOutcome::Held => {}
-                }
-            }
-            rounds += 1;
-            if acked.iter().all(|&a| a) {
-                return Ok(PutReport {
-                    fragments: ranges.len() as u64,
-                    transmissions,
-                    rounds,
-                });
-            }
-            let backoff = self.retry.backoff_for(rounds);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-        }
-        Err(RvmaError::RetryExhausted {
-            attempts: rounds,
-            acked: acked.iter().filter(|&&a| a).count() as u64,
-            total: ranges.len() as u64,
-        })
-    }
-}
-
-impl std::fmt::Debug for ReliableInitiator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReliableInitiator")
-            .field("src", &self.src)
-            .field("retry", &self.retry)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,30 +445,5 @@ mod tests {
         assert!(w.is_duplicate(key(2), 0));
         assert!(w.is_duplicate(key(3), 0));
         assert!(!w.is_empty());
-    }
-
-    #[test]
-    fn backoff_grows_and_clamps() {
-        let cfg = RetryConfig {
-            max_attempts: 8,
-            base_backoff: Duration::from_millis(1),
-            backoff_multiplier: 2.0,
-            max_backoff: Duration::from_millis(4),
-        };
-        assert_eq!(cfg.backoff_for(1), Duration::from_millis(1));
-        assert_eq!(cfg.backoff_for(2), Duration::from_millis(2));
-        assert_eq!(cfg.backoff_for(3), Duration::from_millis(4));
-        assert_eq!(cfg.backoff_for(7), Duration::from_millis(4), "clamped");
-        assert_eq!(RetryConfig::default().backoff_for(5), Duration::ZERO);
-    }
-
-    #[test]
-    fn put_report_retransmissions() {
-        let r = PutReport {
-            fragments: 4,
-            transmissions: 7,
-            rounds: 3,
-        };
-        assert_eq!(r.retransmissions(), 3);
     }
 }

@@ -30,7 +30,7 @@
 //!   `trace_event` file (`chrome://tracing` / Perfetto) for
 //!   flamegraph-style inspection.
 //! * **Determinism.** [`TelemetrySnapshot::canonical_sequence`] is the
-//!   timestamp-free event stream. On the inline [`LossyNetwork`]
+//!   timestamp-free event stream. On the inline [`LoopbackNetwork`]
 //!   transport every fault die is a pure function of the seed and the
 //!   transmission sequence, so two runs with the same seed produce
 //!   *identical* canonical sequences — the replay harness in
@@ -42,7 +42,7 @@
 //! atomics.
 //!
 //! [`EndpointConfig::telemetry`]: crate::endpoint::EndpointConfig::telemetry
-//! [`LossyNetwork`]: crate::transport_lossy::LossyNetwork
+//! [`LoopbackNetwork`]: crate::transport::LoopbackNetwork
 //! [`RingQueue`]: crate::ring::RingQueue
 
 use crate::ring::RingQueue;

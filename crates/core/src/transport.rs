@@ -1,11 +1,13 @@
-//! In-process transport: connects endpoints so RVMA is usable for real
-//! (multi-threaded) communication, and emulates network properties.
+//! In-process transport: the inline network that connects endpoints so
+//! RVMA is usable for real (multi-threaded) communication, and emulates
+//! the network properties the paper's claims depend on.
 //!
 //! [`LoopbackNetwork`] is a registry of [`RvmaEndpoint`]s plus a wire model:
 //! puts are fragmented at an MTU and delivered to the target endpoint on the
 //! calling thread (the "NIC datapath" runs inline, which is faithful — the
-//! target host CPU is never involved). The [`DeliveryOrder`] knob emulates
-//! routing:
+//! target host CPU is never involved). Two independent knobs shape the wire.
+//!
+//! **Routing** — the [`DeliveryOrder`] knob:
 //!
 //! * [`DeliveryOrder::InOrder`] — a statically-routed network: fragments of
 //!   a put arrive in transmit order.
@@ -14,21 +16,55 @@
 //!   completion must (and does) produce identical results either way — the
 //!   paper's central correctness claim.
 //!
+//! **Faults** — [`EndpointConfig::fault_model`], seeded by
+//! [`EndpointConfig::fault_seed`]. RVMA (like RDMA) is specified over a
+//! **reliable** fabric, and the threshold-counting completion rule is only
+//! sound under that assumption:
+//!
+//! * a **dropped** fragment means the byte/op counter never reaches the
+//!   threshold — the epoch simply never completes (detectable with
+//!   [`Notification::wait_timeout`], recoverable with
+//!   [`Window::recover_timeout`]);
+//! * a **duplicated** fragment is counted twice — the epoch can complete
+//!   *early*, before all distinct bytes have arrived (prevented by the
+//!   receiver-side [`DedupWindow`](crate::retry::DedupWindow) when
+//!   [`EndpointConfig::dedup_window`] is set);
+//! * a **reordered/delayed** fragment arrives behind younger traffic —
+//!   harmless to Steered-mode placement, but it can race a retransmitted
+//!   copy of itself (again absorbed by dedup);
+//! * a **crashed** endpoint black-holes everything — the initiator's retry
+//!   budget turns the silence into [`RvmaError::RetryExhausted`].
+//!
+//! [`Initiator`] is the initiator half of the reliability layer: each round
+//! transmits every not-yet-acknowledged fragment; a delivery ack (including
+//! a receiver-side duplicate suppression, which proves the fragment landed
+//! earlier) retires it, a NACK aborts the operation, and fragments that
+//! vanish (dropped, deferred, black-holed) stay queued for the next round,
+//! up to [`EndpointConfig::retry_budget`] rounds. A budget of 1 transmits
+//! each fragment once and lets faults land where they land. Retransmitting
+//! through a fault model that can duplicate or defer needs receiver dedup,
+//! which the network checks when it is built.
+//!
 //! No ordering is enforced *across* operations or initiators; concurrent
 //! puts from many threads interleave arbitrarily at the target, exercising
 //! the endpoint's locking.
+//!
+//! [`Notification::wait_timeout`]: crate::notify::Notification::wait_timeout
+//! [`Window::recover_timeout`]: crate::window::Window::recover_timeout
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::buffer::CompletedBuffer;
-use crate::endpoint::{DeliverResult, Fragment, RvmaEndpoint};
+use crate::endpoint::{DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
 use crate::error::{NackReason, Result, RvmaError};
+use crate::retry::{FaultDecision, FaultInjector, FaultStats};
+use crate::telemetry::{self, EventKind, Telemetry};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default MTU: 2 KiB payload per fragment, a typical HPC-network packet
@@ -48,18 +84,30 @@ pub enum DeliveryOrder {
     },
 }
 
-/// Summary the initiator sees after a put's fragments are all delivered.
+/// What an inline put did to get every fragment acknowledged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutResult {
-    /// Fragments the operation was split into.
-    pub fragments: usize,
+pub struct PutReport {
+    /// Distinct fragments the operation comprises.
+    pub fragments: u64,
+    /// Total transmissions performed (≥ `fragments`; the excess is
+    /// retransmitted copies).
+    pub transmissions: u64,
+    /// Rounds used (1 = everything acknowledged on first transmission).
+    pub rounds: u32,
     /// True if any fragment of this put completed a target epoch.
     pub completed_epoch: bool,
 }
 
+impl PutReport {
+    /// Retransmitted copies beyond the first transmission of each fragment.
+    pub fn retransmissions(&self) -> u64 {
+        self.transmissions - self.fragments
+    }
+}
+
 /// Initiator-side surface every transport backend offers — the contract the
 /// cross-transport conformance suite (`tests/transport_conformance.rs`)
-/// drives identically over the inline-lossy, threaded, and shared-memory
+/// drives identically over the inline, threaded, and shared-memory
 /// backends.
 ///
 /// The semantics are the asynchronous ones (the lowest common denominator
@@ -125,27 +173,87 @@ pub trait Transport: Send + Sync {
     fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)>;
 }
 
+/// A fragment held back by a reorder/delay fault, released after
+/// `remaining` further transmissions.
+#[derive(Debug)]
+struct HeldFragment {
+    ep: Arc<RvmaEndpoint>,
+    frag: Fragment,
+    remaining: u32,
+}
+
 /// The in-process network connecting RVMA endpoints.
 #[derive(Debug)]
 pub struct LoopbackNetwork {
     endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
     mtu: usize,
     order: DeliveryOrder,
+    /// Permutation source of the [`DeliveryOrder::OutOfOrder`] shuffle.
     rng: Mutex<StdRng>,
+    /// Applied to every endpoint this network creates; also the source of
+    /// the fault model, retry budget and eager threshold.
+    config: EndpointConfig,
+    /// The fault dice, present iff the fault model can fire: a fault-free
+    /// network delivers straight through, with no lock taken per fragment.
+    injector: Option<Mutex<FaultInjector>>,
+    /// Fragments parked by reorder/delay faults, aged by later transmits
+    /// (always empty without an injector).
+    held: Mutex<Vec<HeldFragment>>,
+    /// Destinations that crashed (explicitly or via the fault model):
+    /// everything sent to them — including already-held fragments — is
+    /// silently dropped.
+    crashed: RwLock<HashSet<NodeAddr>>,
+    /// Set by the first crash; until then no transmit reads `crashed`.
+    any_crashed: AtomicBool,
+    stats: Arc<FaultStats>,
+    /// Fabric-wide event recorder, present iff `config.telemetry`: every
+    /// endpoint attached to this network (and every initiator bound to
+    /// it) stamps into this one instance, so a single snapshot covers the
+    /// whole put lifecycle.
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl LoopbackNetwork {
-    /// An in-order network with the default MTU.
+    /// A reliable, in-order network with the default MTU.
     pub fn new() -> Arc<Self> {
         Self::with_options(DEFAULT_MTU, DeliveryOrder::InOrder)
     }
 
-    /// A network with explicit MTU and delivery-order policy.
+    /// A reliable network with explicit MTU and delivery-order policy.
     ///
     /// # Panics
     /// Panics if `mtu` is zero.
     pub fn with_options(mtu: usize, order: DeliveryOrder) -> Arc<Self> {
+        Self::for_endpoint_config(mtu, order, &EndpointConfig::default())
+    }
+
+    /// A network shaped by an endpoint configuration: endpoints are created
+    /// with it (dedup window included), and the fault model, fault seed,
+    /// retry budget, eager threshold and telemetry all come from it.
+    ///
+    /// # Panics
+    /// Panics if `mtu` is zero, a fault probability is outside `[0, 1]`,
+    /// or `retry_budget > 1` while the fault model can duplicate or defer
+    /// fragments and `dedup_window == 0`: retransmission without
+    /// receiver-side dedup re-introduces the duplicate-overcount bug the
+    /// reliability layer exists to fix (a deferred copy and its retransmit
+    /// would both count).
+    pub fn for_endpoint_config(
+        mtu: usize,
+        order: DeliveryOrder,
+        config: &EndpointConfig,
+    ) -> Arc<Self> {
         assert!(mtu > 0, "MTU must be positive");
+        let model = config.fault_model;
+        let stats = Arc::new(FaultStats::default());
+        let injector = (!model.is_none())
+            .then(|| Mutex::new(FaultInjector::new(model, config.fault_seed, stats.clone())));
+        let replays = model.dup_p > 0.0 || model.reorder_p > 0.0 || model.delay_p > 0.0;
+        assert!(
+            config.retry_budget <= 1 || !replays || config.dedup_window > 0,
+            "retransmitting through a duplicating or deferring fault model \
+             requires receiver-side dedup (dedup_window > 0, or retry_budget = 1)"
+        );
         let seed = match order {
             DeliveryOrder::OutOfOrder { seed } => seed,
             DeliveryOrder::InOrder => 0,
@@ -155,6 +263,13 @@ impl LoopbackNetwork {
             mtu,
             order,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            config: config.clone(),
+            injector,
+            held: Mutex::new(Vec::new()),
+            crashed: RwLock::new(HashSet::new()),
+            any_crashed: AtomicBool::new(false),
+            stats,
+            telemetry: config.telemetry.then(|| Arc::new(Telemetry::new())),
         })
     }
 
@@ -170,12 +285,16 @@ impl LoopbackNetwork {
 
     /// Attach an endpoint. Replaces any previous endpoint at that address.
     pub fn register(&self, endpoint: Arc<RvmaEndpoint>) {
+        if let Some(t) = &self.telemetry {
+            endpoint.attach_telemetry(t.clone());
+        }
         self.endpoints.write().insert(endpoint.addr(), endpoint);
     }
 
-    /// Create *and* attach a fresh endpoint at `addr`.
+    /// Create *and* attach a fresh endpoint at `addr`, configured per the
+    /// network's [`EndpointConfig`].
     pub fn add_endpoint(&self, addr: NodeAddr) -> Arc<RvmaEndpoint> {
-        let ep = RvmaEndpoint::new(addr);
+        let ep = RvmaEndpoint::with_config(addr, self.config.clone());
         self.register(ep.clone());
         ep
     }
@@ -183,6 +302,42 @@ impl LoopbackNetwork {
     /// Look up an attached endpoint.
     pub fn endpoint(&self, addr: NodeAddr) -> Option<Arc<RvmaEndpoint>> {
         self.endpoints.read().get(&addr).cloned()
+    }
+
+    /// The fabric's shared event recorder (`None` unless the network was
+    /// built with `telemetry` on).
+    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
+        self.telemetry.clone()
+    }
+
+    /// The fault counters (dropped counts fragments black-holed by
+    /// crashes too). A fault-free network rolls no dice, so only
+    /// black-holed fragments count towards `transmitted`.
+    pub fn fault_stats(&self) -> Arc<FaultStats> {
+        self.stats.clone()
+    }
+
+    /// Crash an endpoint: from now on every fragment addressed to it —
+    /// including ones already held by reorder/delay faults — is silently
+    /// dropped. The endpoint stays attached (its LUT and mailboxes are
+    /// intact), modelling a NIC that stopped responding, not one that was
+    /// deregistered.
+    pub fn crash_endpoint(&self, addr: NodeAddr) {
+        self.crashed.write().insert(addr);
+        self.any_crashed.store(true, Ordering::Release);
+    }
+
+    /// True when `addr` has crashed.
+    pub fn is_crashed(&self, addr: NodeAddr) -> bool {
+        self.any_crashed.load(Ordering::Acquire) && self.crashed.read().contains(&addr)
+    }
+
+    /// Deliver every held fragment immediately, regardless of remaining
+    /// deferral (the "link finally drained" event). Returns how many were
+    /// delivered (crashed destinations still swallow theirs).
+    pub fn flush_delayed(&self) -> usize {
+        let all = std::mem::take(&mut *self.held.lock());
+        all.into_iter().filter(|h| self.release(h)).count()
     }
 
     /// An initiator handle bound to source address `src` (paper: the
@@ -193,17 +348,114 @@ impl LoopbackNetwork {
             net: self.clone(),
             src,
             next_op: AtomicU64::new(1),
+            staged: AtomicU64::new(0),
+            nacks: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Push one fragment through the fault dice and (maybe) deliver it.
+    /// Returns the deliveries made now: none when the fragment was dropped
+    /// or held back, two when a duplication fault delivered it twice.
+    ///
+    /// Every call first ages the held-fragment queue, releasing fragments
+    /// whose deferral has expired — that is what makes a deferral a
+    /// *reorder*: younger transmissions overtake it. Zero-length fragments
+    /// bypass the dice (they are pure control traffic — one countable op,
+    /// no payload) but still black-hole against a crashed destination.
+    fn transmit(&self, ep: &Arc<RvmaEndpoint>, frag: &Fragment) -> [Option<DeliverResult>; 2] {
+        if self.injector.is_some() {
+            self.age_held();
+        }
+        if self.is_crashed(ep.addr()) {
+            self.stats.note_blackhole();
+            return [None, None];
+        }
+        let decision = match &self.injector {
+            Some(injector) if !frag.data.is_empty() => injector.lock().roll(),
+            _ => FaultDecision::CLEAN,
+        };
+        if decision.crash {
+            self.crash_endpoint(ep.addr());
+        }
+        if decision.drop {
+            return [None, None];
+        }
+        if decision.defer_spans > 0 {
+            self.held.lock().push(HeldFragment {
+                ep: ep.clone(),
+                frag: frag.clone(),
+                remaining: decision.defer_spans,
+            });
+            return [None, None];
+        }
+        let first = self.deliver_to(ep, frag);
+        [
+            Some(first),
+            decision.duplicate.then(|| self.deliver_to(ep, frag)),
+        ]
+    }
+
+    /// Age the held queue by one transmission; deliver what expired.
+    fn age_held(&self) {
+        let due: Vec<HeldFragment> = {
+            let mut held = self.held.lock();
+            if held.is_empty() {
+                return;
+            }
+            for h in held.iter_mut() {
+                h.remaining = h.remaining.saturating_sub(1);
+            }
+            let (due, keep) = std::mem::take(&mut *held)
+                .into_iter()
+                .partition(|h| h.remaining == 0);
+            *held = keep;
+            due
+        };
+        for h in &due {
+            self.release(h);
+        }
+    }
+
+    /// Deliver a released held fragment as-is (its fault was already rolled
+    /// and counted when it was deferred). Returns false when its
+    /// destination crashed meanwhile.
+    fn release(&self, h: &HeldFragment) -> bool {
+        if self.is_crashed(h.ep.addr()) {
+            self.stats.note_dropped_in_flight();
+            return false;
+        }
+        self.deliver_to(&h.ep, &h.frag);
+        true
+    }
+
+    fn deliver_to(&self, ep: &RvmaEndpoint, frag: &Fragment) -> DeliverResult {
+        telemetry::record(
+            &self.telemetry,
+            EventKind::WireDeliver,
+            telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
+            frag.op_id,
+            frag.offset as u64,
+        );
+        ep.deliver(frag)
     }
 }
 
 /// Initiator-side handle: issues `put` (paper: `RVMA_Put`) and the `get`
-/// extension against remote endpoints.
+/// extension against remote endpoints, retransmitting unacknowledged
+/// fragments for up to the network's `retry_budget` rounds (see the
+/// module docs). Implements [`Transport`], re-surfacing its synchronous
+/// NACKs asynchronously.
 #[derive(Debug)]
 pub struct Initiator {
     net: Arc<LoopbackNetwork>,
     src: NodeAddr,
     next_op: AtomicU64,
+    /// Payload bytes copied into staging storage on the eager path; the
+    /// zero-copy lane ([`put_bytes_at`](Initiator::put_bytes_at) above the
+    /// eager threshold) contributes nothing here.
+    staged: AtomicU64,
+    /// NACKs of puts issued through the [`Transport`] surface.
+    nacks: Mutex<Vec<(VirtAddr, NackReason)>>,
 }
 
 impl Initiator {
@@ -214,85 +466,47 @@ impl Initiator {
 
     /// `RVMA_Put`: send `data` to mailbox `vaddr` on `dest`, at offset 0 of
     /// the target's active buffer. No handshake, no remote address exchange.
-    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<PutResult> {
+    pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<PutReport> {
         self.put_at(dest, vaddr, 0, data)
     }
 
     /// `RVMA_Put` with an explicit offset into the target's active buffer
     /// (paper Sec. III-B: offsets assemble one contiguous payload within a
-    /// single mailbox's buffer).
+    /// single mailbox's buffer). Returns once every fragment is
+    /// acknowledged; errors when the target NACKs or the retry budget is
+    /// spent.
     pub fn put_at(
         &self,
         dest: NodeAddr,
         vaddr: VirtAddr,
         offset: usize,
         data: &[u8],
-    ) -> Result<PutResult> {
-        let ep = self
-            .net
-            .endpoint(dest)
-            .ok_or(RvmaError::UnknownDestination)?;
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let payload = Bytes::copy_from_slice(data);
-        let total = payload.len() as u64;
+    ) -> Result<PutReport> {
+        self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.put_payload(dest, vaddr, offset, Bytes::copy_from_slice(data))
+    }
 
-        // Fragment at the MTU (zero-copy slices of the payload).
-        let mtu = self.net.mtu;
-        let mut frags: Vec<Fragment> = if payload.is_empty() {
-            // A zero-byte put is a single empty fragment: it still counts as
-            // one operation at the target (op-counted synchronization puts).
-            vec![Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: 0,
-                offset,
-                data: payload.clone(),
-            }]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|start| {
-                    let end = (start + mtu).min(payload.len());
-                    Fragment {
-                        initiator: self.src,
-                        op_id,
-                        dst_vaddr: vaddr,
-                        op_total_len: total,
-                        offset: offset + start,
-                        data: payload.slice(start..end),
-                    }
-                })
-                .collect()
-        };
+    /// Zero-copy `RVMA_Put` of an owned payload. Above the network's
+    /// `eager_threshold` the fragments transmitted (and retransmitted) are
+    /// offset/len slices of `data`'s shared allocation — no staging copy;
+    /// the receiver-side gather is the put's only copy. At or below the
+    /// threshold this is exactly [`put_at`](Initiator::put_at).
+    pub fn put_bytes_at(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        offset: usize,
+        data: Bytes,
+    ) -> Result<PutReport> {
+        if data.len() <= self.net.config.eager_threshold {
+            return self.put_at(dest, vaddr, offset, &data);
+        }
+        self.put_payload(dest, vaddr, offset, data)
+    }
 
-        if let DeliveryOrder::OutOfOrder { .. } = self.net.order {
-            frags.shuffle(&mut *self.net.rng.lock());
-        }
-
-        let fragments = frags.len();
-        let mut completed = false;
-        let mut nack: Option<NackReason> = None;
-        for f in &frags {
-            match ep.deliver(f) {
-                DeliverResult::Ok { completed_epoch } => completed |= completed_epoch,
-                // The loopback never duplicates, but an endpoint with a
-                // dedup window can report one if the application replays
-                // an op id; it is an ack, not a failure.
-                DeliverResult::Duplicate => {}
-                DeliverResult::Nack(r) => nack = nack.or(Some(r)),
-                DeliverResult::Dropped(_) => {
-                    // NACKs disabled at the target: initiator learns nothing.
-                }
-            }
-        }
-        match nack {
-            Some(r) => Err(RvmaError::Nacked(r)),
-            None => Ok(PutResult {
-                fragments,
-                completed_epoch: completed,
-            }),
-        }
+    /// Payload bytes this initiator copied into staging storage so far.
+    pub fn staged_bytes(&self) -> u64 {
+        self.staged.load(Ordering::Relaxed)
     }
 
     /// The `RVMA_Get`-style read extension: fetch the buffer the target
@@ -313,18 +527,171 @@ impl Initiator {
         let mb = mb.lock();
         mb.rewind(back)
     }
+
+    /// The retransmit loop, lane-agnostic: fragments are always slices of
+    /// `payload`, whether that is a staged copy (eager) or the caller's own
+    /// allocation (zero-copy).
+    fn put_payload(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        offset: usize,
+        payload: Bytes,
+    ) -> Result<PutReport> {
+        let net = &*self.net;
+        let ep = net.endpoint(dest).ok_or(RvmaError::UnknownDestination)?;
+        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
+        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
+        telemetry::record(
+            &net.telemetry,
+            EventKind::Submit,
+            src_key,
+            op_id,
+            payload.len() as u64,
+        );
+        let mut frags = Fragment::split(self.src, op_id, vaddr, offset, &payload, net.mtu);
+        if let DeliveryOrder::OutOfOrder { .. } = net.order {
+            frags.shuffle(&mut *net.rng.lock());
+        }
+        let mut acked = vec![false; frags.len()];
+        let mut report = PutReport {
+            fragments: frags.len() as u64,
+            transmissions: 0,
+            rounds: 0,
+            completed_epoch: false,
+        };
+        while report.rounds < net.config.retry_budget.max(1) {
+            for (frag, acked) in frags.iter().zip(acked.iter_mut()) {
+                if *acked {
+                    continue;
+                }
+                report.transmissions += 1;
+                if report.rounds > 0 {
+                    // Every transmission of a fragment beyond its first.
+                    telemetry::record(
+                        &net.telemetry,
+                        EventKind::Retransmit,
+                        src_key,
+                        op_id,
+                        u64::from(report.rounds),
+                    );
+                }
+                for delivered in net.transmit(&ep, frag).into_iter().flatten() {
+                    match delivered {
+                        DeliverResult::Ok { completed_epoch } => {
+                            *acked = true;
+                            report.completed_epoch |= completed_epoch;
+                        }
+                        // A Duplicate ack proves an earlier copy (e.g. one
+                        // released from a deferral hold) already landed.
+                        DeliverResult::Duplicate => *acked = true,
+                        DeliverResult::Nack(reason) => return Err(RvmaError::Nacked(reason)),
+                        // NACKs disabled at the target: the initiator
+                        // learns nothing; the budget expires like a timeout.
+                        DeliverResult::Dropped(_) => {}
+                    }
+                }
+            }
+            report.rounds += 1;
+            if acked.iter().all(|&a| a) {
+                return Ok(report);
+            }
+        }
+        Err(RvmaError::RetryExhausted {
+            attempts: report.rounds,
+            acked: acked.iter().filter(|&&a| a).count() as u64,
+            total: report.fragments,
+        })
+    }
+
+    /// The inline initiator learns of a refusal synchronously; the
+    /// [`Transport`] contract reports it the way the async backends do.
+    fn nack_to_sink(&self, vaddr: VirtAddr, put: Result<PutReport>) -> Result<()> {
+        match put {
+            Ok(_) => Ok(()),
+            Err(RvmaError::Nacked(reason)) => {
+                self.nacks.lock().push((vaddr, reason));
+                Ok(())
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
+impl Transport for Initiator {
+    fn backend(&self) -> &'static str {
+        "inline"
+    }
+
+    fn put_at(&self, dest: NodeAddr, vaddr: VirtAddr, offset: usize, data: &[u8]) -> Result<()> {
+        self.nack_to_sink(vaddr, Initiator::put_at(self, dest, vaddr, offset, data))
+    }
+
+    fn put_bytes_at(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        offset: usize,
+        data: Bytes,
+    ) -> Result<()> {
+        self.nack_to_sink(
+            vaddr,
+            Initiator::put_bytes_at(self, dest, vaddr, offset, data),
+        )
+    }
+
+    fn staged_bytes(&self) -> u64 {
+        Initiator::staged_bytes(self)
+    }
+
+    fn flush(&self) -> Result<()> {
+        // Every put already blocked until acknowledged; the only state
+        // parked inside the network is reorder/delay-deferred copies.
+        self.net.flush_delayed();
+        Ok(())
+    }
+
+    fn take_nacks(&self) -> Vec<(VirtAddr, NackReason)> {
+        std::mem::take(&mut *self.nacks.lock())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffer::Threshold;
+    use crate::retry::{FaultModel, DEFAULT_RETRY_BUDGET};
+    use std::time::Duration;
 
     fn net_pair(order: DeliveryOrder) -> (Arc<LoopbackNetwork>, Arc<RvmaEndpoint>, Initiator) {
         let net = LoopbackNetwork::with_options(4, order); // tiny MTU: forces fragmentation
         let target = net.add_endpoint(NodeAddr::node(1));
         let init = net.initiator(NodeAddr::node(2));
         (net, target, init)
+    }
+
+    /// A faulted 64-byte-MTU network with one endpoint at node 0.
+    /// `retry_budget: 1` is the raw initiator: one transmission per
+    /// fragment, faults land where they land.
+    fn faulted(
+        model: FaultModel,
+        seed: u64,
+        dedup_window: usize,
+        retry_budget: u32,
+    ) -> (Arc<LoopbackNetwork>, Arc<RvmaEndpoint>) {
+        let net = LoopbackNetwork::for_endpoint_config(
+            64,
+            DeliveryOrder::InOrder,
+            &EndpointConfig {
+                fault_model: model,
+                fault_seed: seed,
+                dedup_window,
+                retry_budget,
+                ..Default::default()
+            },
+        );
+        let ep = net.add_endpoint(NodeAddr::node(0));
+        (net, ep)
     }
 
     #[test]
@@ -509,5 +876,392 @@ mod tests {
         for t in 0..16usize {
             assert_eq!(&buf.full_buffer()[t * 8..(t + 1) * 8], &[t as u8; 8]);
         }
+    }
+
+    #[test]
+    fn no_faults_behaves_reliably() {
+        let (net, ep) = faulted(FaultModel::NONE, 1, 0, 1);
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(256))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 256]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let report = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
+            .unwrap();
+        assert_eq!((report.fragments, report.transmissions), (4, 4));
+        assert_eq!(net.fault_stats().dropped(), 0);
+        assert_eq!(n.poll().unwrap().data(), vec![7u8; 256].as_slice());
+    }
+
+    #[test]
+    fn drops_prevent_completion_detectably() {
+        // 100% drop: the epoch never completes; wait_timeout surfaces it
+        // and inc_epoch recovers the partial (here: empty) buffer.
+        let (net, ep) = faulted(
+            FaultModel {
+                drop_p: 1.0,
+                ..FaultModel::NONE
+            },
+            2,
+            0,
+            1,
+        );
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(128))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 128]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let err = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 128])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RvmaError::RetryExhausted {
+                attempts: 1,
+                acked: 0,
+                total: 2,
+            }
+        );
+        assert_eq!(net.fault_stats().dropped(), 2);
+        assert!(n.wait_timeout(Duration::from_millis(5)).is_none());
+        // Application-level recovery: hand the partial epoch to software.
+        win.inc_epoch().unwrap();
+        let buf = n.poll().unwrap();
+        assert_eq!(buf.len(), 0);
+    }
+
+    #[test]
+    fn duplicates_overcount_and_complete_early() {
+        // 100% duplication WITHOUT dedup: the byte counter doubles, so the
+        // threshold is reached after half the distinct payload — the
+        // documented reason RVMA requires a reliable (dedup-ing) fabric.
+        let (net, ep) = faulted(
+            FaultModel {
+                dup_p: 1.0,
+                ..FaultModel::NONE
+            },
+            3,
+            0,
+            1,
+        );
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(128))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 128]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        // Send only the first half (64 B = one 64-B fragment, duplicated).
+        init.put(NodeAddr::node(0), VirtAddr::new(1), &[7; 64])
+            .unwrap();
+        assert_eq!(net.fault_stats().duplicated(), 1);
+        let buf = n.poll().expect("early completion from overcounting");
+        // The buffer completed with only the first 64 distinct bytes.
+        assert_eq!(&buf.full_buffer()[..64], &[7; 64]);
+        assert_eq!(&buf.full_buffer()[64..], &[0; 64]);
+    }
+
+    #[test]
+    fn dedup_window_prevents_early_completion() {
+        // The same duplication storm as above, with the receiver half of
+        // the reliability layer armed: byte-exact, no early completion.
+        let (net, ep) = faulted(
+            FaultModel {
+                dup_p: 1.0,
+                ..FaultModel::NONE
+            },
+            3,
+            64,
+            1,
+        );
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(128))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 128]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        init.put(NodeAddr::node(0), VirtAddr::new(1), &[7; 64])
+            .unwrap();
+        assert!(n.poll().is_none(), "half the payload is not an epoch");
+        init.put_at(NodeAddr::node(0), VirtAddr::new(1), 64, &[8; 64])
+            .unwrap();
+        let buf = n.poll().expect("epoch completes on distinct bytes only");
+        assert_eq!(&buf.full_buffer()[..64], &[7; 64]);
+        assert_eq!(&buf.full_buffer()[64..], &[8; 64]);
+        assert_eq!(
+            ep.stats().duplicates_dropped,
+            net.fault_stats().duplicated()
+        );
+    }
+
+    #[test]
+    fn partial_drop_rates_are_seed_deterministic() {
+        let run = |seed| {
+            let (net, ep) = faulted(
+                FaultModel {
+                    drop_p: 0.3,
+                    dup_p: 0.1,
+                    ..FaultModel::NONE
+                },
+                seed,
+                0,
+                1,
+            );
+            let win = ep
+                .init_window(VirtAddr::new(1), Threshold::bytes(1 << 16))
+                .unwrap();
+            let _n = win.post_buffer(vec![0; 1 << 16]).unwrap();
+            let init = net.initiator(NodeAddr::node(1));
+            let _ = init.put(NodeAddr::node(0), VirtAddr::new(1), &vec![1; 1 << 16]);
+            (net.fault_stats().dropped(), net.fault_stats().duplicated())
+        };
+        assert_eq!(run(9), run(9));
+        let (d, dup) = run(9);
+        assert!(d > 100 && d < 900, "drop count {d} wildly off 30% of 1024");
+        assert!(dup > 10, "dup count {dup}");
+    }
+
+    #[test]
+    #[should_panic(expected = "drop_p")]
+    fn invalid_probability_rejected() {
+        faulted(
+            FaultModel {
+                drop_p: 1.5,
+                ..FaultModel::NONE
+            },
+            0,
+            0,
+            1,
+        );
+    }
+
+    #[test]
+    fn nack_stops_the_operation() {
+        // Regression: a NACK on the first fragment must abort the put —
+        // previously the remaining fragments were still fragmented,
+        // delivered, and counted.
+        let (net, ep) = faulted(FaultModel::NONE, 4, 0, 1);
+        // Window exists but has no buffer posted: every fragment NACKs.
+        let _win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(256))
+            .unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let err = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
+            .unwrap_err();
+        assert_eq!(err, RvmaError::Nacked(NackReason::NoBufferPosted));
+        assert_eq!(
+            ep.stats().fragments_discarded,
+            1,
+            "only the first fragment reaches the endpoint"
+        );
+    }
+
+    #[test]
+    fn zero_length_put_bypasses_fault_dice() {
+        // Regression: an empty put used to roll the dice on its single
+        // empty fragment, making a "dropped" zero-byte put indistinguishable
+        // from a delivered one. Now it is deterministic (matching the
+        // threaded transport's zero-length semantics).
+        let (net, ep) = faulted(
+            FaultModel {
+                drop_p: 1.0,
+                ..FaultModel::NONE
+            },
+            5,
+            0,
+            1,
+        );
+        let win = ep.init_window(VirtAddr::new(1), Threshold::ops(1)).unwrap();
+        let mut n = win.post_buffer(vec![0; 8]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let report = init.put(NodeAddr::node(0), VirtAddr::new(1), &[]).unwrap();
+        assert_eq!(report.fragments, 1);
+        assert_eq!(
+            net.fault_stats().dropped(),
+            0,
+            "no dice rolled for the empty fragment"
+        );
+        assert_eq!(n.poll().unwrap().len(), 0, "zero-byte put counts one op");
+    }
+
+    #[test]
+    fn reordered_fragments_are_released_behind_younger_traffic() {
+        let (net, ep) = faulted(
+            FaultModel {
+                reorder_p: 1.0,
+                ..FaultModel::NONE
+            },
+            6,
+            64,
+            1,
+        );
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(128))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 128]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        // Two fragments, both deferred by one span: transmitting the
+        // second releases the first; the second stays parked until flush.
+        let err = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 128])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RvmaError::RetryExhausted {
+                attempts: 1,
+                acked: 0,
+                total: 2,
+            },
+            "nothing acknowledged synchronously"
+        );
+        assert_eq!(net.fault_stats().deferred(), 2);
+        assert!(n.poll().is_none());
+        assert_eq!(net.flush_delayed(), 1, "one fragment still parked");
+        let buf = n.poll().expect("epoch completes once the queue drains");
+        assert_eq!(buf.data(), vec![7u8; 128].as_slice());
+    }
+
+    #[test]
+    fn reliable_put_retransmits_through_heavy_loss() {
+        let (net, ep) = faulted(
+            FaultModel {
+                drop_p: 0.5,
+                dup_p: 0.2,
+                reorder_p: 0.1,
+                ..FaultModel::NONE
+            },
+            7,
+            64,
+            DEFAULT_RETRY_BUDGET,
+        );
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(512))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 512]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let report = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[9; 512])
+            .unwrap();
+        assert_eq!(report.fragments, 8);
+        assert!(
+            report.transmissions > report.fragments,
+            "50% loss must force retransmissions"
+        );
+        net.flush_delayed();
+        let buf = n.poll().expect("every fragment eventually acked");
+        assert_eq!(buf.data(), vec![9u8; 512].as_slice());
+    }
+
+    #[test]
+    fn reliable_put_nack_aborts_immediately() {
+        let (net, ep) = faulted(FaultModel::NONE, 8, 64, DEFAULT_RETRY_BUDGET);
+        let _win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(256))
+            .unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let err = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
+            .unwrap_err();
+        assert_eq!(err, RvmaError::Nacked(NackReason::NoBufferPosted));
+    }
+
+    #[test]
+    fn crashed_endpoint_exhausts_retry_budget() {
+        let (net, ep) = faulted(FaultModel::NONE, 9, 64, DEFAULT_RETRY_BUDGET);
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(128))
+            .unwrap();
+        let _n = win.post_buffer(vec![0; 128]).unwrap();
+        net.crash_endpoint(NodeAddr::node(0));
+        let init = net.initiator(NodeAddr::node(1));
+        let err = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 128])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RvmaError::RetryExhausted {
+                attempts: DEFAULT_RETRY_BUDGET,
+                acked: 0,
+                total: 2,
+            }
+        );
+        assert_eq!(
+            net.fault_stats().dropped(),
+            u64::from(DEFAULT_RETRY_BUDGET) * 2
+        );
+    }
+
+    #[test]
+    fn nacks_disabled_target_exhausts_retry_budget() {
+        // The target discards what it cannot place and says nothing, so
+        // every round redelivers the whole put into the same discard.
+        let net = LoopbackNetwork::with_options(64, DeliveryOrder::InOrder);
+        let ep = RvmaEndpoint::with_config(
+            NodeAddr::node(0),
+            EndpointConfig {
+                nacks_enabled: false,
+                ..Default::default()
+            },
+        );
+        net.register(ep.clone());
+        let err = net
+            .initiator(NodeAddr::node(1))
+            .put(NodeAddr::node(0), VirtAddr::new(9), &[7; 128])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RvmaError::RetryExhausted {
+                attempts: DEFAULT_RETRY_BUDGET,
+                acked: 0,
+                total: 2,
+            }
+        );
+        assert_eq!(
+            ep.stats().fragments_discarded,
+            u64::from(DEFAULT_RETRY_BUDGET) * 2
+        );
+    }
+
+    #[test]
+    fn crash_fault_fires_mid_stream() {
+        // crash_after_frags = 3: fragments 1–2 land, the 3rd crashes the
+        // destination, and everything after is black-holed.
+        let (net, ep) = faulted(
+            FaultModel {
+                crash_after_frags: Some(3),
+                ..FaultModel::NONE
+            },
+            10,
+            0,
+            1,
+        );
+        let win = ep
+            .init_window(VirtAddr::new(1), Threshold::bytes(256))
+            .unwrap();
+        let mut n = win.post_buffer(vec![0; 256]).unwrap();
+        let init = net.initiator(NodeAddr::node(1));
+        let err = init
+            .put(NodeAddr::node(0), VirtAddr::new(1), &[7; 256])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RvmaError::RetryExhausted {
+                attempts: 1,
+                acked: 2,
+                total: 4,
+            }
+        );
+        assert!(net.is_crashed(NodeAddr::node(0)));
+        assert!(n.wait_timeout(Duration::from_millis(5)).is_none());
+    }
+
+    #[test]
+    fn put_report_retransmissions() {
+        let r = PutReport {
+            fragments: 4,
+            transmissions: 7,
+            rounds: 3,
+            completed_epoch: false,
+        };
+        assert_eq!(r.retransmissions(), 3);
     }
 }

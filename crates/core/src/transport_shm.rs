@@ -45,7 +45,7 @@
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::endpoint::{
-    DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
+    mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
     DEFAULT_WIRE_IDLE_YIELDS,
 };
 use crate::error::{NackReason, Result, RvmaError};
@@ -701,8 +701,6 @@ fn shm_worker(inner: Arc<ServerInner>) {
         .as_ref()
         .map(|p| FaultInjector::new(p.model, p.seed, p.stats.clone()));
     let mut deferred: VecDeque<ServerMsg> = VecDeque::new();
-    let idle_spins = inner.config.wire_idle_spins;
-    let idle_yields = inner.config.wire_idle_yields;
     loop {
         if let Some(msg) = pop_req(&inner, &req) {
             process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, false);
@@ -723,7 +721,12 @@ fn shm_worker(inner: Arc<ServerInner>) {
         // degenerating into one park/wake round trip per message (the
         // rendezvous lane pushes one descriptor per *message*, so it has
         // no ring backlog to absorb that churn, unlike the eager lane).
-        if idle_wait(&req, &inner.stop, idle_spins, idle_yields) {
+        if idle_wait(
+            &req,
+            &inner.stop,
+            DEFAULT_WIRE_IDLE_SPINS,
+            DEFAULT_WIRE_IDLE_YIELDS,
+        ) {
             continue;
         }
         let seen = hdr.req_bell.prepare();
@@ -1896,27 +1899,19 @@ impl ShmClient {
             op_id,
             data.len() as u64,
         );
-        // A zero-byte put is a single empty fragment (one counted op) —
-        // the same rule as every in-process initiator.
-        let ranges: Vec<(usize, usize)> = if data.is_empty() {
-            vec![(0, 0)]
-        } else {
-            (0..data.len())
-                .step_by(mtu)
-                .map(|s| (s, (s + mtu).min(data.len())))
-                .collect()
-        };
-        for &(s, e) in &ranges {
+        for range in mtu_ranges(data.len(), mtu) {
+            let at = (offset + range.start) as u64;
+            let chunk = &data[range];
             telemetry::record(
                 &self.inner.telemetry,
                 EventKind::RingEnqueue,
                 src_key,
                 op_id,
-                (offset + s) as u64,
+                at,
             );
             self.push_req(|h, payload| {
                 h.kind.store(REQ_PUT, Ordering::Relaxed);
-                h.len.store((e - s) as u32, Ordering::Relaxed);
+                h.len.store(chunk.len() as u32, Ordering::Relaxed);
                 h.dest_nid.store(dest.nid, Ordering::Relaxed);
                 h.dest_pid.store(dest.pid, Ordering::Relaxed);
                 h.init_nid.store(self.inner.src.nid, Ordering::Relaxed);
@@ -1925,11 +1920,11 @@ impl ShmClient {
                 h.op_id.store(op_id, Ordering::Relaxed);
                 h.vaddr.store(vaddr.0, Ordering::Relaxed);
                 h.total_len.store(data.len() as u64, Ordering::Relaxed);
-                h.offset.store((offset + s) as u64, Ordering::Relaxed);
+                h.offset.store(at, Ordering::Relaxed);
                 // SAFETY: payload points at this slot's mtu-sized region
-                // and e - s <= mtu.
+                // and chunk.len() <= mtu.
                 unsafe {
-                    std::ptr::copy_nonoverlapping(data.as_ptr().add(s), payload, e - s);
+                    std::ptr::copy_nonoverlapping(chunk.as_ptr(), payload, chunk.len());
                 }
             })?;
         }
@@ -2113,10 +2108,8 @@ fn rsp_pump(inner: Arc<ClientInner>) {
         }
         // Same idle ladder as the server worker: acks stream one per
         // rendezvous put, so parking per ack would cost a futex round
-        // trip per message. Defaults (the client has no EndpointConfig):
-        // the server publishes no idle policy in the header, and the
-        // pump's cadence only affects extent-release latency, which the
-        // allocator's depth absorbs.
+        // trip per message. The pump's cadence only affects
+        // extent-release latency, which the allocator's depth absorbs.
         if idle_wait(
             &rsp,
             &inner.stop,

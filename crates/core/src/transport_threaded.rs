@@ -43,9 +43,8 @@
 //!
 //! **Idle policy.** A worker that finds its ring empty runs an adaptive
 //! spin → yield → park progression
-//! ([`wire_idle_spins`](crate::endpoint::EndpointConfig) busy-poll
-//! iterations, then [`wire_idle_yields`](crate::endpoint::EndpointConfig)
-//! `yield_now` rounds, then `thread::park`). Producers ring a doorbell
+//! ([`DEFAULT_WIRE_IDLE_SPINS`] busy-poll iterations, then
+//! [`DEFAULT_WIRE_IDLE_YIELDS`] `yield_now` rounds, then `thread::park`). Producers ring a doorbell
 //! (one `SeqCst` flag check per push, `unpark` only when the worker is
 //! actually parked), so an idle worker costs nothing while a hot worker
 //! never takes a futex wake on the fragment path.
@@ -123,7 +122,10 @@
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::{self, AtomicU64 as CheckedU64, Mutation};
-use crate::endpoint::{DeliverResult, EndpointConfig, Fragment, RvmaEndpoint};
+use crate::endpoint::{
+    DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
+    DEFAULT_WIRE_IDLE_YIELDS,
+};
 use crate::error::{NackReason, Result, RvmaError};
 use crate::notify::AtomicWaker;
 use crate::pool::{PayloadPool, PoolStats};
@@ -705,15 +707,10 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
         .map(|n| n.get())
         .unwrap_or(1)
         > 1;
-    let idle_spins = if parallel {
-        shared.endpoint_config.wire_idle_spins
+    let (idle_spins, idle_yields) = if parallel {
+        (DEFAULT_WIRE_IDLE_SPINS, DEFAULT_WIRE_IDLE_YIELDS)
     } else {
-        0
-    };
-    let idle_yields = if parallel {
-        shared.endpoint_config.wire_idle_yields
-    } else {
-        0
+        (0, 0)
     };
     // Each worker rolls its own seeded dice; the counters are shared, so
     // `crash_after_frags` keys off the network-wide transmit sequence.
@@ -795,8 +792,8 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
                 let mut copies = 1u32;
                 if let (Some(inj), Some(plan)) = (injector.as_mut(), shared.faults.as_ref()) {
                     // Zero-length fragments carry no payload a fabric could
-                    // corrupt; they bypass the dice (same rule as
-                    // LossyNetwork). The attempt that reaches the budget
+                    // corrupt; they bypass the dice (same rule as the inline
+                    // LoopbackNetwork). The attempt that reaches the budget
                     // delivers fault-free: bounded retransmission, no hang.
                     if !frag.data.is_empty() && attempt < plan.budget {
                         let d = inj.roll();
@@ -1320,8 +1317,7 @@ impl AsyncInitiator {
             op_id,
             payload.len() as u64,
         );
-        let mtu = self.shared.mtu;
-        if payload.len() <= mtu {
+        if payload.len() <= self.shared.mtu {
             let frag = Fragment {
                 initiator: self.src,
                 op_id,
@@ -1348,24 +1344,7 @@ impl AsyncInitiator {
             );
             return Ok(());
         }
-        let total = payload.len() as u64;
-        let mut frags: Vec<Fragment> = (0..payload.len())
-            .step_by(mtu)
-            .map(|start| {
-                let end = (start + mtu).min(payload.len());
-                Fragment {
-                    initiator: self.src,
-                    op_id,
-                    dst_vaddr: vaddr,
-                    op_total_len: total,
-                    offset: offset + start,
-                    data: payload.slice(start..end),
-                }
-            })
-            .collect();
-        if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
-            frags.shuffle(&mut *self.shared.rng.lock());
-        }
+        let frags = self.fragment(vaddr, op_id, offset, &payload);
         queue
             .push(WireMsg::DeliverBatch {
                 dest,
@@ -1412,14 +1391,13 @@ impl AsyncInitiator {
         if data.len() <= mtu {
             // Inline fast path: one fragment, no fragment vector, no
             // shuffle. Zero-length puts take this path too.
-            self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
             let frag = Fragment {
                 initiator: self.src,
                 op_id,
                 dst_vaddr: vaddr,
                 op_total_len: data.len() as u64,
                 offset,
-                data: self.pool.acquire(data),
+                data: self.stage(data),
             };
             queue
                 .push(WireMsg::Deliver {
@@ -1439,7 +1417,7 @@ impl AsyncInitiator {
             );
             return Ok(());
         }
-        let frags = self.fragment(vaddr, op_id, offset, data);
+        let frags = self.fragment(vaddr, op_id, offset, &self.stage(data));
         queue
             .push(WireMsg::DeliverBatch {
                 dest,
@@ -1458,110 +1436,26 @@ impl AsyncInitiator {
         Ok(())
     }
 
-    /// Split a multi-MTU payload into fragments (pooled copy, zero-copy
-    /// slices), shuffled when the network is `OutOfOrder`.
-    fn fragment(&self, vaddr: VirtAddr, op_id: u64, offset: usize, data: &[u8]) -> Vec<Fragment> {
+    /// Copy `data` into pooled staging storage (the eager lane).
+    fn stage(&self, data: &[u8]) -> Bytes {
         self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        let payload = self.pool.acquire(data);
-        let total = payload.len() as u64;
-        let mtu = self.shared.mtu;
-        let mut frags: Vec<Fragment> = (0..payload.len())
-            .step_by(mtu)
-            .map(|start| {
-                let end = (start + mtu).min(payload.len());
-                Fragment {
-                    initiator: self.src,
-                    op_id,
-                    dst_vaddr: vaddr,
-                    op_total_len: total,
-                    offset: offset + start,
-                    data: payload.slice(start..end),
-                }
-            })
-            .collect();
+        self.pool.acquire(data)
+    }
+
+    /// Split a multi-MTU payload into fragments (zero-copy slices of
+    /// `payload`), shuffled when the network is `OutOfOrder`.
+    fn fragment(
+        &self,
+        vaddr: VirtAddr,
+        op_id: u64,
+        offset: usize,
+        payload: &Bytes,
+    ) -> Vec<Fragment> {
+        let mut frags = Fragment::split(self.src, op_id, vaddr, offset, payload, self.shared.mtu);
         if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
             frags.shuffle(&mut *self.shared.rng.lock());
         }
         frags
-    }
-
-    /// The seed/PR-1 submission path, kept verbatim for A/B benchmarking
-    /// (`msg_rate --bin`): endpoint-table read lock per put, fresh payload
-    /// allocation, a fragment vector even for single-fragment puts, and
-    /// one channel send + one NACK-sink Arc clone *per fragment*.
-    pub fn put_at_legacy(
-        &self,
-        dest: NodeAddr,
-        vaddr: VirtAddr,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<()> {
-        if self.shared.endpoints.read().get(&dest).is_none() {
-            return Err(RvmaError::UnknownDestination);
-        }
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            data.len() as u64,
-        );
-        self.staged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        let payload = Bytes::copy_from_slice(data);
-        let total = payload.len() as u64;
-        let mtu = self.shared.mtu;
-
-        let mut frags: Vec<Fragment> = if payload.is_empty() {
-            vec![Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: 0,
-                offset,
-                data: payload.clone(),
-            }]
-        } else {
-            (0..payload.len())
-                .step_by(mtu)
-                .map(|start| {
-                    let end = (start + mtu).min(payload.len());
-                    Fragment {
-                        initiator: self.src,
-                        op_id,
-                        dst_vaddr: vaddr,
-                        op_total_len: total,
-                        offset: offset + start,
-                        data: payload.slice(start..end),
-                    }
-                })
-                .collect()
-        };
-        if let DeliveryOrder::OutOfOrder { .. } = self.shared.order {
-            frags.shuffle(&mut *self.shared.rng.lock());
-        }
-        let queue_idx = self.shared.queue_index(dest, vaddr);
-        let queue = &self.shared.queues[queue_idx];
-        for frag in frags {
-            queue
-                .push(WireMsg::Deliver {
-                    dest,
-                    frag,
-                    nacks: self.nacks.clone(),
-                    attempt: 0,
-                    notify: None,
-                })
-                .map_err(|_| RvmaError::UnknownDestination)?;
-        }
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::RingEnqueue,
-            src_key,
-            op_id,
-            queue_idx as u64,
-        );
-        Ok(())
     }
 
     /// Start a submission batch with the default doorbell threshold
@@ -1709,20 +1603,19 @@ impl PutBatch<'_> {
         );
         let group = &mut self.groups[group_idx].2;
         if data.len() <= self.init.shared.mtu {
-            self.init
-                .staged
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
             group.push(Fragment {
                 initiator: self.init.src,
                 op_id,
                 dst_vaddr: vaddr,
                 op_total_len: data.len() as u64,
                 offset,
-                data: self.init.pool.acquire(data),
+                data: self.init.stage(data),
             });
             self.pending += 1;
         } else {
-            let mut frags = self.init.fragment(vaddr, op_id, offset, data);
+            let mut frags = self
+                .init
+                .fragment(vaddr, op_id, offset, &self.init.stage(data));
             self.pending += frags.len();
             group.append(&mut frags);
         }
@@ -2418,27 +2311,5 @@ mod tests {
         assert_eq!(note.wait().len(), 0);
         let stats = net.fault_stats().unwrap();
         assert_eq!(stats.transmitted(), 0, "the dice never rolled");
-    }
-
-    #[test]
-    fn legacy_path_still_delivers() {
-        // The PR-1 A/B baseline stays functional: same delivery semantics,
-        // just unbatched and uncached.
-        let net = AsyncNetwork::new(16, DeliveryOrder::InOrder, Duration::ZERO);
-        let server = net.add_endpoint(NodeAddr::node(0));
-        let client = net.initiator(NodeAddr::node(9));
-        let win = server
-            .init_window(VirtAddr::new(1), Threshold::bytes(64))
-            .unwrap();
-        let mut note = win.post_buffer(vec![0; 64]).unwrap();
-        let payload: Vec<u8> = (0..64u8).collect();
-        client
-            .put_at_legacy(NodeAddr::node(0), VirtAddr::new(1), 0, &payload)
-            .unwrap();
-        assert_eq!(note.wait().data(), payload.as_slice());
-        assert_eq!(
-            client.put_at_legacy(NodeAddr::node(7), VirtAddr::new(1), 0, &[0; 4]),
-            Err(RvmaError::UnknownDestination)
-        );
     }
 }

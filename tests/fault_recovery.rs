@@ -1,19 +1,21 @@
 //! Seeded fault-recovery stress suite for the reliability layer.
 //!
 //! Every test is deterministic given its seed: the fault dice, the retry
-//! schedule, and both transports' delivery machinery are all seeded, so a
-//! failing combination replays exactly. The CI job runs the fixed seeds
+//! schedule, the routing shuffle, and both transports' delivery machinery
+//! are all seeded, so a failing combination replays exactly. The CI job
+//! runs the fixed seeds
 //! below plus one randomized seed injected through the `RVMA_FAULT_SEED`
 //! environment variable; every assertion message carries the seed so a
 //! red run can be reproduced with
 //! `RVMA_FAULT_SEED=<seed> cargo test --test fault_recovery`.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
-    AsyncNetwork, EndpointConfig, EpochOutcome, FaultModel, LossyNetwork, NodeAddr, RetryConfig,
-    RvmaError, Threshold, VirtAddr,
+    AsyncNetwork, EndpointConfig, EpochOutcome, FaultModel, LoopbackNetwork, NodeAddr, RvmaError,
+    StatsSnapshot, Threshold, VirtAddr,
 };
 
 const SERVER: NodeAddr = NodeAddr::node(0);
@@ -78,17 +80,25 @@ fn fault_matrix() -> Vec<(&'static str, FaultModel)> {
     ]
 }
 
+/// The inline network with `model` seeded by `seed`, a 16-byte MTU and
+/// receiver dedup: the configuration the retransmitting initiator needs.
+fn inline_net(order: DeliveryOrder, model: FaultModel, seed: u64) -> Arc<LoopbackNetwork> {
+    let cfg = EndpointConfig {
+        dedup_window: 1 << 15,
+        fault_model: model,
+        fault_seed: seed,
+        ..Default::default()
+    };
+    LoopbackNetwork::for_endpoint_config(16, order, &cfg)
+}
+
 /// Lock-step epochs over a lossy fabric: post, reliable-put, verify. The
 /// reliable put only returns once every fragment was accepted (or deduped)
 /// at the receiver, so each epoch must complete before the next is posted.
 fn lossy_stress(name: &str, model: FaultModel, seed: u64, epochs: usize) {
-    let cfg = EndpointConfig {
-        dedup_window: 1 << 15,
-        ..Default::default()
-    };
-    let net = LossyNetwork::with_config(16, model, seed, cfg);
+    let net = inline_net(DeliveryOrder::InOrder, model, seed);
     let server = net.add_endpoint(SERVER);
-    let init = net.reliable_initiator(CLIENT);
+    let init = net.initiator(CLIENT);
     let win = server
         .init_window(VirtAddr::new(0x10), Threshold::bytes(64))
         .unwrap();
@@ -125,7 +135,7 @@ fn lossy_fault_matrix_completes_every_epoch_byte_exact() {
 }
 
 /// The acceptance run: 10k reliable ops under drop + dup + reorder on the
-/// lossy transport, every epoch byte-exact, bounded by the retry budget.
+/// inline transport, every epoch byte-exact, bounded by the retry budget.
 #[test]
 fn lossy_ten_thousand_ops_complete_under_combined_faults() {
     let seed = *seeds().last().unwrap();
@@ -135,13 +145,9 @@ fn lossy_ten_thousand_ops_complete_under_combined_faults() {
         reorder_p: 0.05,
         ..FaultModel::NONE
     };
-    let cfg = EndpointConfig {
-        dedup_window: 1 << 15,
-        ..Default::default()
-    };
-    let net = LossyNetwork::with_config(16, model, seed, cfg);
+    let net = inline_net(DeliveryOrder::InOrder, model, seed);
     let server = net.add_endpoint(SERVER);
-    let init = net.reliable_initiator(CLIENT);
+    let init = net.initiator(CLIENT);
 
     const OPS_PER_EPOCH: usize = 10;
     const EPOCHS: usize = 1_000;
@@ -162,7 +168,7 @@ fn lossy_ten_thousand_ops_complete_under_combined_faults() {
             let report = init
                 .put_at(SERVER, vaddr, slot * OP_BYTES, &[fill; OP_BYTES])
                 .unwrap_or_else(|err| panic!("seed {seed}: op {op} failed: {err:?}"));
-            retransmissions += report.transmissions - report.fragments;
+            retransmissions += report.retransmissions();
         }
         net.flush_delayed();
         let buf = note
@@ -180,11 +186,93 @@ fn lossy_ten_thousand_ops_complete_under_combined_faults() {
         }
     }
     assert_eq!(win.epoch(), EPOCHS as u64, "seed {seed}");
+    let dropped = net.fault_stats().dropped();
     assert!(
-        net.dropped() > 0 && retransmissions > 0,
-        "seed {seed}: the fault model never fired (dropped={}, retransmissions={retransmissions})",
-        net.dropped()
+        dropped > 0 && retransmissions > 0,
+        "seed {seed}: the fault model never fired (dropped={dropped}, retransmissions={retransmissions})"
     );
+}
+
+/// Fault counters and endpoint counters of one [`shuffled_lossy_run`].
+type RunStats = ((u64, u64, u64, u64), StatsSnapshot);
+
+/// Adaptive routing and an unreliable fabric at once on the one inline
+/// network: every put is shuffled, then pushed through drop + dup +
+/// reorder faults, retransmitted until acknowledged, and deduplicated at
+/// the receiver. Each 64-byte epoch is 4 fragments, so the shuffle is
+/// never trivial.
+fn shuffled_lossy_run(seed: u64, epochs: usize) -> RunStats {
+    let model = FaultModel {
+        drop_p: 0.05,
+        dup_p: 0.05,
+        reorder_p: 0.05,
+        ..FaultModel::NONE
+    };
+    let net = inline_net(DeliveryOrder::OutOfOrder { seed }, model, seed);
+    let server = net.add_endpoint(SERVER);
+    let init = net.initiator(CLIENT);
+    let win = server
+        .init_window(VirtAddr::new(0x18), Threshold::bytes(64))
+        .unwrap();
+    let mut retransmissions = 0;
+    for e in 0..epochs {
+        let mut note = win.post_buffer(vec![0u8; 64]).unwrap();
+        let payload: Vec<u8> = (0..64)
+            .map(|i| ((e * 31 + i * 7 + 1) % 251) as u8)
+            .collect();
+        let report = init
+            .put(SERVER, VirtAddr::new(0x18), &payload)
+            .unwrap_or_else(|err| panic!("seed {seed}: epoch {e}: put failed: {err:?}"));
+        retransmissions += report.retransmissions();
+        net.flush_delayed();
+        // The put returned only once every fragment was acknowledged, so
+        // the epoch is complete now — no waiting.
+        let buf = note
+            .poll()
+            .unwrap_or_else(|| panic!("seed {seed}: epoch {e}: incomplete after put"));
+        assert_eq!(buf.data(), payload.as_slice(), "seed {seed}: epoch {e}");
+    }
+    let faults = net.fault_stats();
+    assert!(
+        faults.dropped() > 0 && faults.duplicated() > 0 && faults.deferred() > 0,
+        "seed {seed}: a fault kind never fired"
+    );
+    assert!(
+        retransmissions > 0,
+        "seed {seed}: nothing was retransmitted"
+    );
+    let counts = (
+        faults.transmitted(),
+        faults.dropped(),
+        faults.duplicated(),
+        faults.deferred(),
+    );
+    (counts, server.stats())
+}
+
+#[test]
+fn shuffled_lossy_inline_run_is_byte_exact_and_replays_per_seed() {
+    for seed in seeds() {
+        let first = shuffled_lossy_run(seed, 200);
+        let again = shuffled_lossy_run(seed, 200);
+        assert_eq!(first, again, "seed {seed}: same seed, different run");
+        assert_eq!(first.1.epochs_completed, 200, "seed {seed}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "dedup_window")]
+fn retransmitting_through_duplicates_without_dedup_is_rejected() {
+    let cfg = EndpointConfig {
+        fault_model: FaultModel {
+            dup_p: 0.05,
+            ..FaultModel::NONE
+        },
+        dedup_window: 0,
+        retry_budget: 2,
+        ..Default::default()
+    };
+    LoopbackNetwork::for_endpoint_config(16, DeliveryOrder::InOrder, &cfg);
 }
 
 /// Same acceptance run over the fault-injected threaded transport: 10k
@@ -266,9 +354,12 @@ fn dedup_stats_match_injected_duplicates() {
         };
         let cfg = EndpointConfig {
             dedup_window: 4096,
+            fault_model: model,
+            fault_seed: seed,
+            retry_budget: 1,
             ..Default::default()
         };
-        let net = LossyNetwork::with_config(32, model, seed, cfg);
+        let net = LoopbackNetwork::for_endpoint_config(32, DeliveryOrder::InOrder, &cfg);
         let server = net.add_endpoint(SERVER);
         let init = net.initiator(CLIENT);
         let win = server
@@ -283,10 +374,11 @@ fn dedup_stats_match_injected_duplicates() {
                 .unwrap_or_else(|| panic!("seed {seed}: epoch {e} hung"));
             assert!(buf.data().iter().all(|&b| b == fill), "seed {seed}");
         }
-        assert!(net.duplicated() > 0, "seed {seed}: no duplicates injected");
+        let duplicated = net.fault_stats().duplicated();
+        assert!(duplicated > 0, "seed {seed}: no duplicates injected");
         assert_eq!(
             server.stats().duplicates_dropped,
-            net.duplicated(),
+            duplicated,
             "seed {seed}: every injected duplicate must be suppressed"
         );
     }
@@ -298,19 +390,12 @@ fn dedup_stats_match_injected_duplicates() {
 fn crashed_endpoint_surfaces_retry_exhausted_then_rewinds() {
     let cfg = EndpointConfig {
         dedup_window: 1024,
+        retry_budget: 3,
         ..Default::default()
     };
-    let net = LossyNetwork::with_config(16, FaultModel::NONE, 1, cfg);
+    let net = LoopbackNetwork::for_endpoint_config(16, DeliveryOrder::InOrder, &cfg);
     let server = net.add_endpoint(SERVER);
-    let init = net.reliable_initiator_with(
-        CLIENT,
-        RetryConfig {
-            max_attempts: 3,
-            base_backoff: Duration::ZERO,
-            backoff_multiplier: 1.0,
-            max_backoff: Duration::ZERO,
-        },
-    );
+    let init = net.initiator(CLIENT);
     let vaddr = VirtAddr::new(0x40);
     let win = server.init_window(vaddr, Threshold::bytes(64)).unwrap();
     let mut note = win.post_buffer(vec![0u8; 64]).unwrap();
@@ -397,9 +482,15 @@ fn zero_length_put_agrees_across_transports() {
         ..FaultModel::NONE
     };
 
-    // LossyNetwork: the empty put completes an ops(1) epoch even though
-    // every non-empty fragment would be dropped.
-    let net = LossyNetwork::new(64, model, 1);
+    // The inline network: the empty put completes an ops(1) epoch even
+    // though every non-empty fragment would be dropped.
+    let cfg = EndpointConfig {
+        fault_model: model,
+        fault_seed: 1,
+        retry_budget: 1,
+        ..Default::default()
+    };
+    let net = LoopbackNetwork::for_endpoint_config(64, DeliveryOrder::InOrder, &cfg);
     let server = net.add_endpoint(SERVER);
     let win = server
         .init_window(VirtAddr::new(0x70), Threshold::ops(1))
@@ -410,7 +501,7 @@ fn zero_length_put_agrees_across_transports() {
         .unwrap();
     assert!(
         note.poll().is_some(),
-        "lossy transport rolled fault dice on an empty put"
+        "inline transport rolled fault dice on an empty put"
     );
     assert_eq!(net.fault_stats().transmitted(), 0);
 
@@ -440,7 +531,11 @@ fn zero_length_put_agrees_across_transports() {
 /// `Completed`, not rewind — the timeout is a last resort, not a deadline.
 #[test]
 fn recover_timeout_is_a_noop_on_a_healthy_epoch() {
-    let net = LossyNetwork::new(64, FaultModel::NONE, 1);
+    let cfg = EndpointConfig {
+        retry_budget: 1,
+        ..Default::default()
+    };
+    let net = LoopbackNetwork::for_endpoint_config(64, DeliveryOrder::InOrder, &cfg);
     let server = net.add_endpoint(SERVER);
     let win = server
         .init_window(VirtAddr::new(0x80), Threshold::bytes(32))

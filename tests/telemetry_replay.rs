@@ -2,8 +2,8 @@
 //!
 //! Two runs of the combined fault model with the same `RVMA_FAULT_SEED`
 //! must record *identical* telemetry event sequences — same op ids, same
-//! kinds, same per-kind counts, in the same order. The inline lossy
-//! transport makes this exact: the fault dice are a pure function of
+//! kinds, same per-kind counts, in the same order. The inline transport
+//! makes this exact: the fault dice are a pure function of
 //! (seed, transmission sequence), and the recorder's global sequence
 //! stamp preserves record order across shards. A different seed must
 //! produce a different sequence, or the harness would pass vacuously.
@@ -16,8 +16,8 @@
 use std::time::Duration;
 
 use rvma::core::{
-    EndpointConfig, EventKind, FaultModel, LossyNetwork, NodeAddr, RvmaEndpoint, Span,
-    TelemetrySnapshot, Threshold, VirtAddr,
+    DeliveryOrder, EndpointConfig, EventKind, FaultModel, LoopbackNetwork, NodeAddr, RvmaEndpoint,
+    Span, TelemetrySnapshot, Threshold, VirtAddr,
 };
 
 const SERVER: NodeAddr = NodeAddr::node(0);
@@ -54,12 +54,14 @@ fn combined() -> FaultModel {
 fn traced_run(model: FaultModel, seed: u64, epochs: usize) -> TelemetrySnapshot {
     let cfg = EndpointConfig {
         dedup_window: 1 << 15,
+        fault_model: model,
+        fault_seed: seed,
         telemetry: true,
         ..Default::default()
     };
-    let net = LossyNetwork::with_config(16, model, seed, cfg);
+    let net = LoopbackNetwork::for_endpoint_config(16, DeliveryOrder::InOrder, &cfg);
     let server = net.add_endpoint(SERVER);
-    let init = net.reliable_initiator(CLIENT);
+    let init = net.initiator(CLIENT);
     let win = server
         .init_window(VirtAddr::new(0x10), Threshold::bytes(64))
         .unwrap();
@@ -120,12 +122,14 @@ fn async_traced_run(model: FaultModel, seed: u64, epochs: usize) -> TelemetrySna
 
     let cfg = EndpointConfig {
         dedup_window: 1 << 15,
+        fault_model: model,
+        fault_seed: seed,
         telemetry: true,
         ..Default::default()
     };
-    let net = LossyNetwork::with_config(16, model, seed, cfg);
+    let net = LoopbackNetwork::for_endpoint_config(16, DeliveryOrder::InOrder, &cfg);
     let server = net.add_endpoint(SERVER);
-    let init = net.reliable_initiator(CLIENT);
+    let init = net.initiator(CLIENT);
     let win = server
         .init_window(VirtAddr::new(0x10), Threshold::bytes(64))
         .unwrap();
@@ -244,7 +248,6 @@ fn span_histograms_pair_the_lifecycle() {
 /// pool counters prove).
 #[test]
 fn disabled_telemetry_leaves_no_recorder_and_no_per_put_allocation() {
-    use rvma::core::transport::DeliveryOrder;
     use rvma::core::AsyncNetwork;
 
     let cfg = EndpointConfig::default();

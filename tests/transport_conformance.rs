@@ -1,7 +1,7 @@
 //! Cross-transport conformance suite.
 //!
 //! The [`Transport`] trait promises one contract over three very different
-//! wires — the inline lossy fabric (synchronous retries), the threaded
+//! wires — the inline fabric (synchronous retries), the threaded
 //! wire-worker pool (in-process rings + Dekker parking), and the
 //! shared-memory segment (cross-address-space rings + futex doorbells).
 //! Every test here is parametrized over all available backends and asserts
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
-    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, FaultModel, FaultStats, LossyNetwork,
+    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, FaultModel, FaultStats, LoopbackNetwork,
     NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry, Threshold, Transport,
     VirtAddr,
 };
@@ -40,7 +40,7 @@ const MAILBOX: VirtAddr = VirtAddr(0x10);
 /// conformance must be bit-stable in CI).
 const SEEDS: [u64; 2] = [0xBAD_5EED, 0x7EA5_E77E];
 
-const BACKENDS: [&str; 3] = ["inline-lossy", "threaded", "shm"];
+const BACKENDS: [&str; 3] = ["inline", "threaded", "shm"];
 
 /// The fault models every backend must deliver byte-exact through.
 fn fault_matrix() -> Vec<(&'static str, FaultModel)> {
@@ -81,7 +81,7 @@ fn fault_matrix() -> Vec<(&'static str, FaultModel)> {
 
 /// Keeps the backend's network/server half alive for the fixture's life.
 enum Holder {
-    Inline(Arc<LossyNetwork>),
+    Inline(Arc<LoopbackNetwork>),
     Threaded(AsyncNetwork),
     Shm(rvma::core::ShmServer),
 }
@@ -105,10 +105,10 @@ fn fixture(
     cfg: EndpointConfig,
 ) -> Option<(Holder, Arc<RvmaEndpoint>, Box<dyn Transport>)> {
     match backend {
-        "inline-lossy" => {
-            let net = LossyNetwork::with_config(mtu, cfg.fault_model, cfg.fault_seed, cfg);
+        "inline" => {
+            let net = LoopbackNetwork::for_endpoint_config(mtu, DeliveryOrder::InOrder, &cfg);
             let ep = net.add_endpoint(SERVER);
-            let t: Box<dyn Transport> = Box::new(net.inline_channel(CLIENT));
+            let t: Box<dyn Transport> = Box::new(net.initiator(CLIENT));
             Some((Holder::Inline(net), ep, t))
         }
         "threaded" => {
@@ -150,14 +150,7 @@ fn backend_names_match_fixture() {
         let Some((_h, _ep, t)) = fixture(backend, 64, faulted_cfg(FaultModel::NONE, 1)) else {
             continue;
         };
-        assert_eq!(
-            t.backend(),
-            if backend == "inline-lossy" {
-                "inline-lossy"
-            } else {
-                backend
-            }
-        );
+        assert_eq!(t.backend(), backend);
     }
 }
 
@@ -293,7 +286,7 @@ fn replay_run(backend: &str, seed: u64) -> Option<Vec<(rvma::core::EventKind, u6
         ..FaultModel::NONE
     };
     let mut cfg = faulted_cfg(model, seed);
-    cfg.telemetry = matches!(backend, "inline-lossy" | "shm");
+    cfg.telemetry = matches!(backend, "inline" | "shm");
     let (holder, ep, t) = fixture(backend, 16, cfg)?;
     let recorder: Arc<Telemetry> = match &holder {
         Holder::Inline(net) => net.telemetry().expect("inline telemetry on"),
@@ -526,7 +519,7 @@ fn large_replay_run(
     };
     let mut cfg = faulted_cfg(model, seed);
     cfg.eager_threshold = 0;
-    cfg.telemetry = matches!(backend, "inline-lossy" | "shm");
+    cfg.telemetry = matches!(backend, "inline" | "shm");
     let (holder, ep, t) = fixture(backend, 4096, cfg)?;
     let recorder: Arc<Telemetry> = match &holder {
         Holder::Inline(net) => net.telemetry().expect("inline telemetry on"),

@@ -11,7 +11,7 @@ use rvma_motifs::{run_motif, IdleNode, Sweep3dConfig, Sweep3dNode};
 use rvma_net::fabric::FabricConfig;
 use rvma_net::router::RoutingKind;
 use rvma_nic::{HostLogic, NicConfig, Protocol};
-use rvma_sim::SimTime;
+use rvma_sim::{SimConfig, SimTime};
 
 fn main() {
     let cfg = SweepConfig::from_args(std::env::args().skip(1));
@@ -26,6 +26,8 @@ fn main() {
     let spec = topology_for(TopologyFamily::Dragonfly, RoutingKind::Adaptive, cfg.nodes);
     let fcfg = FabricConfig::at_gbps(400);
     let active = cfg.nodes;
+    // One shard: the ablations compare NIC configurations, not engines.
+    let sim = SimConfig::single_shard();
 
     println!(
         "Ablation — PCIe latency, Sweep3D on {} @400G ({} nodes)\n",
@@ -39,7 +41,7 @@ fn main() {
             ..Default::default()
         };
         let run = |proto: Protocol| {
-            run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, |n| {
+            run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, sim, |n| {
                 if n < active {
                     Box::new(Sweep3dNode::new(motif, n)) as Box<dyn HostLogic>
                 } else {

@@ -13,6 +13,7 @@ use rvma_net::fabric::FabricConfig;
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::star;
 use rvma_nic::{NicConfig, Protocol};
+use rvma_sim::SimConfig;
 
 fn main() {
     println!("Many-to-one (incast): RVMA vs RDMA as the client count grows\n");
@@ -39,6 +40,7 @@ fn main() {
                 NicConfig::default(),
                 p,
                 5,
+                SimConfig::single_shard(),
                 |n| Box::new(IncastNode::new(cfg, n)) as _,
             )
         };

@@ -1,4 +1,4 @@
-//! Engine-scaling benchmark: events/sec of the sharded parallel engine on
+//! Engine-scaling benchmark: events/sec of the sharded engine on
 //! Sweep3D, across cluster sizes and thread counts.
 //!
 //! This is the PR's tentpole measurement: the conservative-window engine
@@ -116,7 +116,7 @@ fn main() {
     let args = parse_args();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "sim_scale — Sweep3D on the parallel engine ({} host core{})\n",
+        "sim_scale — Sweep3D on the sharded engine ({} host core{})\n",
         cores,
         if cores == 1 { "" } else { "s" }
     );

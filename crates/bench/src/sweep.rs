@@ -1,6 +1,6 @@
 //! The topology × routing × link-speed × protocol sweep behind Figs. 7–8.
 
-use rvma_motifs::{run_motif, run_motif_par, IdleNode, MotifResult};
+use rvma_motifs::{run_motif, IdleNode, MotifResult};
 use rvma_net::fabric::{FabricConfig, TopologySpec};
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::{
@@ -166,10 +166,8 @@ pub struct SweepConfig {
     pub only_routing: Option<RoutingKind>,
     /// Link speeds to sweep.
     pub speeds: Vec<u64>,
-    /// Worker threads: 1 = the sequential reference engine, >1 = the
-    /// sharded parallel engine (same results at any thread count, but the
-    /// two engines draw rng differently, so absolute makespans may differ
-    /// slightly between `1` and `>1`).
+    /// Engine worker threads driving the default shard count. Results are
+    /// identical at any thread count; only the wall time changes.
     pub threads: usize,
 }
 
@@ -190,7 +188,7 @@ impl SweepConfig {
     /// Parse figure-binary CLI flags: `--nodes N`, `--seed S`,
     /// `--family fat-tree|torus|dragonfly|hyperx`,
     /// `--routing static|adaptive`, `--speeds 100,400,2000`,
-    /// `--threads T` (parallel engine when > 1),
+    /// `--threads T` (engine worker threads),
     /// `--full-scale` (= the paper's 8,192 nodes).
     ///
     /// # Panics
@@ -268,14 +266,12 @@ pub fn motif_matrix(
                             Box::new(IdleNode) as Box<dyn HostLogic>
                         }
                     };
-                    if cfg.threads > 1 {
-                        // Window is clamped to the fabric lookahead inside
-                        // run_motif_par; MAX just means "as wide as legal".
-                        let sim = SimConfig::new(cfg.threads, SimTime::MAX);
-                        run_motif_par(&spec, &fcfg, ncfg, proto, cfg.seed, sim, logic)
-                    } else {
-                        run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, logic)
-                    }
+                    // The window is clamped to the fabric lookahead inside
+                    // run_motif; MAX just means "as wide as legal". The
+                    // default shard count fixes the numbers, so they do not
+                    // depend on `--threads`.
+                    let sim = SimConfig::new(cfg.threads, SimTime::MAX);
+                    run_motif(&spec, &fcfg, ncfg, proto, cfg.seed, sim, logic)
                 };
                 let rdma = run(Protocol::Rdma);
                 let rvma = run(Protocol::Rvma);

@@ -1573,7 +1573,6 @@ impl ShmClient {
         self.inner.geo.mtu
     }
 
-    /// Fire-and-forget `RVMA_Put` at offset 0.
     /// The lane policy the server published in the segment header: puts
     /// longer than this take the rendezvous lane (0 forces it for every
     /// non-empty put, `usize::MAX` disables it).
@@ -1581,6 +1580,7 @@ impl ShmClient {
         self.inner.eager_threshold
     }
 
+    /// Fire-and-forget `RVMA_Put` at offset 0.
     pub fn put(&self, dest: NodeAddr, vaddr: VirtAddr, data: &[u8]) -> Result<()> {
         self.put_at(dest, vaddr, 0, data)
     }

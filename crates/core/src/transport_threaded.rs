@@ -606,9 +606,6 @@ fn deliver_many(
     (delivered, nack_count)
 }
 
-/// A retried message has been fully processed: release its slot in the
-/// pending-retry count `quiesce` waits on.
-#[inline]
 /// The quiesce barrier shared by [`AsyncNetwork::quiesce`] and the
 /// initiator-side [`Transport::flush`]: broadcast a flush marker to every
 /// worker ring, wait for all acks, and repeat while any link-level
@@ -630,6 +627,9 @@ fn quiesce_shared(shared: &Shared) {
     }
 }
 
+/// A retried message has been fully processed: release its slot in the
+/// pending-retry count `quiesce` waits on.
+#[inline]
 fn finish_retry(faults: Option<&FaultPlan>, attempt: u32) {
     if attempt > 0 {
         if let Some(plan) = faults {

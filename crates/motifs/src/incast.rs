@@ -89,6 +89,7 @@ mod tests {
     use rvma_net::router::RoutingKind;
     use rvma_net::topology::star;
     use rvma_nic::{NicConfig, Protocol};
+    use rvma_sim::SimConfig;
 
     fn cfg() -> IncastConfig {
         IncastConfig {
@@ -113,6 +114,7 @@ mod tests {
             NicConfig::default(),
             Protocol::Rvma,
             1,
+            SimConfig::single_shard(),
             |n| Box::new(IncastNode::new(c, n)) as _,
         );
         assert_eq!(r.nodes_done, c.nodes as u64);
@@ -130,6 +132,7 @@ mod tests {
             NicConfig::default(),
             Protocol::Rdma,
             1,
+            SimConfig::single_shard(),
             |n| Box::new(IncastNode::new(c, n)) as _,
         );
         assert_eq!(r.nodes_done, c.nodes as u64);
@@ -150,6 +153,7 @@ mod tests {
                 NicConfig::default(),
                 p,
                 1,
+                SimConfig::single_shard(),
                 |n| Box::new(IncastNode::new(c, n)) as _,
             )
             .makespan

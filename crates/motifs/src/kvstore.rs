@@ -14,8 +14,7 @@
 //!
 //! Clients draw keys from a private SplitMix64 stream seeded by
 //! `(cfg.seed, node)` — independent of the engine RNG, so a motif's key
-//! sequence is identical under the sequential and parallel engines and
-//! across thread counts.
+//! sequence is identical at every shard and thread count.
 
 use crate::runner::MOTIF_DONE_HIST;
 use rvma_nic::{HostLogic, RecvInfo, TermApi};
@@ -216,6 +215,7 @@ mod tests {
     use rvma_net::router::RoutingKind;
     use rvma_net::topology::star;
     use rvma_nic::{NicConfig, Protocol};
+    use rvma_sim::SimConfig;
 
     #[test]
     fn zipf_cdf_is_monotone_and_skewed() {
@@ -258,6 +258,7 @@ mod tests {
             NicConfig::default(),
             protocol,
             7,
+            SimConfig::single_shard(),
             move |n| Box::new(KvNode::new(c, n)) as _,
         )
     }

@@ -10,8 +10,9 @@
 //!   client-server pattern the paper's introduction motivates RVMA with),
 //! * [`run_motif`] / [`compare_protocols`] — the harness that assembles a
 //!   cluster, runs a motif to quiescence, and reports makespans and
-//!   protocol-event counts. [`run_motif_par`] is the same harness on the
-//!   sharded parallel engine ([`rvma_sim::ParEngine`]).
+//!   protocol-event counts. Each run names its engine configuration
+//!   ([`rvma_sim::SimConfig`]): the shard count fixes the results, the
+//!   thread count only the wall time.
 
 pub mod allreduce;
 pub mod halo3d;
@@ -27,7 +28,6 @@ pub use incast::{IncastConfig, IncastNode, INCAST_TAG};
 pub use kvstore::{KvConfig, KvNode, Zipf};
 pub use replay::{ReplayNode, Trace, TraceOp};
 pub use runner::{
-    build_motif_engine, compare_protocols, run_motif, run_motif_par, IdleNode, MotifResult,
-    MOTIF_DONE_HIST,
+    build_motif_engine, compare_protocols, run_motif, IdleNode, MotifResult, MOTIF_DONE_HIST,
 };
 pub use sweep3d::{Sweep3dConfig, Sweep3dNode};

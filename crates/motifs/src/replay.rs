@@ -201,6 +201,7 @@ mod tests {
     use rvma_net::router::RoutingKind;
     use rvma_net::topology::star;
     use rvma_nic::{NicConfig, Protocol};
+    use rvma_sim::SimConfig;
 
     fn run_trace(trace: &Trace, proto: Protocol) -> crate::runner::MotifResult {
         let spec = star(trace.ops.len() as u32, RoutingKind::Adaptive);
@@ -210,6 +211,7 @@ mod tests {
             NicConfig::default(),
             proto,
             1,
+            SimConfig::single_shard(),
             |n| Box::new(ReplayNode::new(trace, n)) as _,
         )
     }

@@ -3,7 +3,7 @@
 use rvma_net::fabric::{partition_fabric, FabricConfig, TopologySpec};
 use rvma_net::packet::NetEvent;
 use rvma_nic::{build_cluster, HostLogic, NicConfig, Protocol};
-use rvma_sim::{Engine, ParEngine, SimConfig, SimTime, StatsRegistry};
+use rvma_sim::{Engine, SimConfig, SimTime, StatsRegistry};
 
 /// Histogram name motif nodes record their finish time into.
 pub const MOTIF_DONE_HIST: &str = "motif.node_done_ns";
@@ -80,55 +80,12 @@ fn summarize(
     }
 }
 
-/// Run a motif on `spec` with per-node behaviour from `logic`, and collect
-/// the summary. Panics if any node fails to finish (deadlock in the motif
+/// Run a motif on `spec` with per-node behaviour from `logic` on an engine
+/// configured by `sim` ([`build_motif_engine`]), and collect the summary.
+/// Results are bit-identical across `sim.threads` values for a fixed
+/// `sim.shards`. Panics if any node fails to finish (deadlock in the motif
 /// or protocol model).
 pub fn run_motif(
-    spec: &TopologySpec,
-    fcfg: &FabricConfig,
-    ncfg: NicConfig,
-    protocol: Protocol,
-    seed: u64,
-    logic: impl FnMut(u32) -> Box<dyn HostLogic>,
-) -> MotifResult {
-    let mut engine: Engine<NetEvent> = Engine::new(seed);
-    let cluster = build_cluster(&mut engine, spec, fcfg, ncfg, protocol, logic);
-    let nodes = cluster.nodes() as u64;
-    let events = engine.run_to_completion();
-    summarize(engine.stats(), engine.now(), events, nodes, spec, protocol)
-}
-
-/// Assemble a motif cluster inside a [`ParEngine`]: window clamped to the
-/// fabric's lookahead, components partitioned topology-aware so terminals
-/// co-locate with their switch ([`partition_fabric`]). The returned engine
-/// is frozen-ready but not yet run; callers that want raw stats or traces
-/// (e.g. parity tests) run it themselves.
-pub fn build_motif_engine(
-    spec: &TopologySpec,
-    fcfg: &FabricConfig,
-    ncfg: NicConfig,
-    protocol: Protocol,
-    seed: u64,
-    sim: SimConfig,
-    logic: impl FnMut(u32) -> Box<dyn HostLogic>,
-) -> (ParEngine<NetEvent>, u64) {
-    let mut cfg = sim;
-    // The window must not exceed the minimum cross-shard latency or
-    // cross-shard sends would land inside the current window.
-    cfg.window = cfg.window.min(fcfg.lookahead());
-    let mut engine: ParEngine<NetEvent> = ParEngine::new(seed, cfg);
-    engine.set_partition(partition_fabric(spec, cfg.shards));
-    let cluster = build_cluster(&mut engine, spec, fcfg, ncfg, protocol, logic);
-    let nodes = cluster.nodes() as u64;
-    (engine, nodes)
-}
-
-/// Parallel counterpart of [`run_motif`]: same summary, executed on the
-/// sharded conservative-window [`ParEngine`]. Results are bit-identical
-/// across `sim.threads` values (for a fixed `sim.shards`), but differ from
-/// [`run_motif`] in RNG draws — the parallel engine forks one RNG stream
-/// per shard, the sequential engine uses a single stream.
-pub fn run_motif_par(
     spec: &TopologySpec,
     fcfg: &FabricConfig,
     ncfg: NicConfig,
@@ -140,6 +97,31 @@ pub fn run_motif_par(
     let (mut engine, nodes) = build_motif_engine(spec, fcfg, ncfg, protocol, seed, sim, logic);
     let events = engine.run_to_completion();
     summarize(engine.stats(), engine.now(), events, nodes, spec, protocol)
+}
+
+/// Assemble a motif cluster inside an [`Engine`]: window clamped to the
+/// fabric's lookahead, components partitioned topology-aware so terminals
+/// co-locate with their switch ([`partition_fabric`]). The returned engine
+/// is built but not yet run; callers that want raw stats or traces (e.g.
+/// parity tests) run it themselves.
+pub fn build_motif_engine(
+    spec: &TopologySpec,
+    fcfg: &FabricConfig,
+    ncfg: NicConfig,
+    protocol: Protocol,
+    seed: u64,
+    sim: SimConfig,
+    logic: impl FnMut(u32) -> Box<dyn HostLogic>,
+) -> (Engine<NetEvent>, u64) {
+    let mut cfg = sim;
+    // The window must not exceed the minimum cross-shard latency or
+    // cross-shard sends would land inside the current window.
+    cfg.window = cfg.window.min(fcfg.lookahead());
+    let mut engine = Engine::with_config(seed, cfg);
+    engine.set_partition(partition_fabric(spec, cfg.shards));
+    let cluster = build_cluster(&mut engine, spec, fcfg, ncfg, protocol, logic);
+    let nodes = cluster.nodes() as u64;
+    (engine, nodes)
 }
 
 /// A node that participates in no communication: it reports completion at
@@ -157,9 +139,10 @@ impl HostLogic for IdleNode {
     fn on_recv(&mut self, _msg: rvma_nic::RecvInfo, _api: &mut rvma_nic::TermApi<'_, '_>) {}
 }
 
-/// Run the same motif under both protocols and report the RDMA/RVMA
-/// makespan ratio (speedup > 1 means RVMA is faster) — the quantity the
-/// paper's Figs. 7–8 plot.
+/// Run the same motif under both protocols on one shard
+/// ([`SimConfig::single_shard`]) and report the RDMA/RVMA makespan ratio
+/// (speedup > 1 means RVMA is faster) — the quantity the paper's Figs. 7–8
+/// plot.
 pub fn compare_protocols(
     spec: &TopologySpec,
     fcfg: &FabricConfig,
@@ -167,8 +150,9 @@ pub fn compare_protocols(
     seed: u64,
     mut logic: impl FnMut(u32) -> Box<dyn HostLogic>,
 ) -> (MotifResult, MotifResult, f64) {
-    let rdma = run_motif(spec, fcfg, ncfg, Protocol::Rdma, seed, &mut logic);
-    let rvma = run_motif(spec, fcfg, ncfg, Protocol::Rvma, seed, &mut logic);
+    let sim = SimConfig::single_shard();
+    let rdma = run_motif(spec, fcfg, ncfg, Protocol::Rdma, seed, sim, &mut logic);
+    let rvma = run_motif(spec, fcfg, ncfg, Protocol::Rvma, seed, sim, &mut logic);
     let speedup = rdma.makespan.as_ns_f64() / rvma.makespan.as_ns_f64();
     (rdma, rvma, speedup)
 }

@@ -8,7 +8,7 @@ use rvma_net::fabric::FabricConfig;
 use rvma_net::router::RoutingKind;
 use rvma_net::topology::{dragonfly, hyperx, torus3d, DragonflyParams, HyperXParams, TorusParams};
 use rvma_nic::{HostLogic, NicConfig, Protocol};
-use rvma_sim::SimTime;
+use rvma_sim::{SimConfig, SimTime};
 
 fn small_halo() -> Halo3dConfig {
     Halo3dConfig {
@@ -57,6 +57,7 @@ fn halo3d_completes_and_counts_messages() {
         NicConfig::default(),
         Protocol::Rvma,
         1,
+        SimConfig::single_shard(),
         |n| Box::new(Halo3dNode::new(cfg, n)) as Box<dyn HostLogic>,
     );
     assert_eq!(r.nodes_done, 8);
@@ -76,6 +77,7 @@ fn halo3d_rdma_handshakes_once_per_channel() {
         NicConfig::default(),
         Protocol::Rdma,
         1,
+        SimConfig::single_shard(),
         |n| Box::new(Halo3dNode::new(cfg, n)) as Box<dyn HostLogic>,
     );
     assert_eq!(r.nodes_done, 8);
@@ -100,6 +102,7 @@ fn halo3d_rdma_fences_on_adaptive() {
         NicConfig::default(),
         Protocol::Rdma,
         1,
+        SimConfig::single_shard(),
         |n| Box::new(Halo3dNode::new(cfg, n)) as Box<dyn HostLogic>,
     );
     assert_eq!(r.fences, cfg.total_messages());
@@ -115,6 +118,7 @@ fn sweep3d_completes_and_counts_messages() {
         NicConfig::default(),
         Protocol::Rvma,
         1,
+        SimConfig::single_shard(),
         |n| Box::new(Sweep3dNode::new(cfg, n)) as Box<dyn HostLogic>,
     );
     assert_eq!(r.nodes_done, 8);
@@ -183,6 +187,7 @@ fn sweep3d_on_dragonfly_with_ugal_completes() {
         NicConfig::default(),
         Protocol::Rvma,
         3,
+        SimConfig::single_shard(),
         |n| {
             if n < nodes {
                 Box::new(Sweep3dNode::new(cfg, n)) as Box<dyn HostLogic>
@@ -206,6 +211,7 @@ fn motif_runs_are_deterministic() {
             NicConfig::default(),
             Protocol::Rdma,
             7,
+            SimConfig::single_shard(),
             |n| Box::new(Sweep3dNode::new(cfg, n)) as Box<dyn HostLogic>,
         )
     };
@@ -226,6 +232,7 @@ fn faster_links_shrink_halo_makespan() {
             NicConfig::default(),
             Protocol::Rvma,
             1,
+            SimConfig::single_shard(),
             |n| Box::new(Halo3dNode::new(cfg, n)) as Box<dyn HostLogic>,
         )
         .makespan

@@ -1,4 +1,4 @@
-//! Motif-level parity: every motif, run on the parallel engine at 1/2/4/8
+//! Motif-level parity: every motif, run on the sharded engine at 1/2/4/8
 //! threads, must produce bit-identical results — final clock, events fired,
 //! every counter, every histogram sample, and the merged event trace. The
 //! fabrics use adaptive routing so the runs are rng-dependent: any
@@ -11,9 +11,11 @@ use rvma_motifs::{
 use rvma_net::fabric::{FabricConfig, TopologySpec};
 use rvma_net::packet::NetEvent;
 use rvma_net::router::RoutingKind;
-use rvma_net::topology::{fattree, star, torus3d, FatTreeParams, TorusParams};
+use rvma_net::topology::{
+    dragonfly, fattree, star, torus3d, DragonflyParams, FatTreeParams, TorusParams,
+};
 use rvma_nic::{HostLogic, NicConfig, Protocol};
-use rvma_sim::{ParEngine, SimConfig, SimTime, StatsRegistry, TraceEntry};
+use rvma_sim::{Engine, SimConfig, SimTime, StatsRegistry, TraceEntry};
 
 /// Everything observable about a finished run, bit-exact.
 #[derive(Debug, PartialEq)]
@@ -25,7 +27,7 @@ struct Fingerprint {
     trace: Vec<TraceEntry>,
 }
 
-fn fingerprint(eng: &ParEngine<NetEvent>, events: u64) -> Fingerprint {
+fn fingerprint(eng: &Engine<NetEvent>, events: u64) -> Fingerprint {
     let stats: &StatsRegistry = eng.stats();
     let mut counters: Vec<(String, u64)> = stats
         .counter_names()
@@ -190,18 +192,32 @@ fn kvstore_parity() {
     }
 }
 
-/// `run_motif_par` is deterministic across thread counts at the summary
-/// level too (the API most callers use).
+/// Compare the [`MotifResult`] summaries of `run` at each thread count.
+fn assert_summary_parity(name: &str, threads: &[usize], run: impl Fn(usize) -> MotifResult) {
+    let want = run(threads[0]);
+    for &t in &threads[1..] {
+        let got = run(t);
+        assert_eq!(got.makespan, want.makespan, "{name} at {t} threads");
+        assert_eq!(got.quiesce, want.quiesce, "{name} at {t} threads");
+        assert_eq!(got.events, want.events, "{name} at {t} threads");
+        assert_eq!(got.msgs_sent, want.msgs_sent, "{name} at {t} threads");
+        assert_eq!(got.packets, want.packets, "{name} at {t} threads");
+    }
+}
+
+/// `run_motif` is deterministic across thread counts at the summary level
+/// too (the API most callers use), including `threads = 1`, which the
+/// figure bins run by default.
 #[test]
-fn run_motif_par_summary_parity() {
+fn run_motif_summary_parity() {
     let cfg = IncastConfig {
         nodes: 9,
         msgs: 4,
         bytes: 4096,
     };
     let spec = star(9, RoutingKind::Adaptive);
-    let run = |threads| -> MotifResult {
-        rvma_motifs::run_motif_par(
+    assert_summary_parity("incast", &[1, 2, 4, 8], |threads| {
+        rvma_motifs::run_motif(
             &spec,
             &FabricConfig::at_gbps(100),
             NicConfig::default(),
@@ -210,14 +226,30 @@ fn run_motif_par_summary_parity() {
             SimConfig::new(threads, SimTime::from_us(1)),
             move |n| Box::new(IncastNode::new(cfg, n)) as _,
         )
+    });
+
+    // Adaptive Dragonfly is the one router that draws from the RNG (Valiant
+    // detours), so a thread-dependent stream would move these numbers.
+    let sweep = Sweep3dConfig {
+        pgrid: [4, 4],
+        cells: [8, 8, 16],
+        zblock: 4,
+        elem_bytes: 8,
+        compute_per_block: SimTime::from_ns(200),
+        octants: 2,
     };
-    let want = run(1);
-    for threads in [2, 4, 8] {
-        let got = run(threads);
-        assert_eq!(got.makespan, want.makespan);
-        assert_eq!(got.quiesce, want.quiesce);
-        assert_eq!(got.events, want.events);
-        assert_eq!(got.msgs_sent, want.msgs_sent);
-        assert_eq!(got.packets, want.packets);
+    let spec = dragonfly(DragonflyParams { a: 4, p: 2, h: 2 }, RoutingKind::Adaptive);
+    for protocol in [Protocol::Rvma, Protocol::Rdma] {
+        assert_summary_parity("dragonfly sweep3d", &[1, 2, 4], |threads| {
+            rvma_motifs::run_motif(
+                &spec,
+                &FabricConfig::at_gbps(400),
+                NicConfig::default(),
+                protocol,
+                42,
+                SimConfig::new(threads, SimTime::MAX),
+                padded(16, move |n| Box::new(Sweep3dNode::new(sweep, n)) as _),
+            )
+        });
     }
 }

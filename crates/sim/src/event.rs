@@ -14,7 +14,7 @@
 //! O(log n) of one global heap, and the extracted order is identical — the
 //! differential tests below drive both against each other.
 //!
-//! For the parallel engine each shard owns a queue constructed with
+//! For the engine, each shard owns a queue constructed with
 //! [`EventQueue::with_seq_stream`]: shard `s` of `S` draws sequence numbers
 //! `first + s`, `first + s + S`, … so shards allocate from disjoint seq
 //! classes and the global `(time, seq)` order is independent of how many
@@ -102,7 +102,7 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue handing out sequence numbers `first, first + stride,
-    /// first + 2·stride, …` — used by the parallel engine to give each shard
+    /// first + 2·stride, …` — used by the engine to give each shard
     /// a disjoint seq class.
     ///
     /// # Panics
@@ -121,7 +121,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Hand out the next sequence number from this queue's stream without
-    /// enqueueing anything (the parallel engine uses this to stamp events
+    /// enqueueing anything (the engine uses this to stamp events
     /// that travel to another shard's queue).
     pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
@@ -141,7 +141,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Enqueue an event whose sequence number was assigned elsewhere (setup
-    /// events and cross-shard arrivals in the parallel engine).
+    /// events and cross-shard arrivals in the engine).
     pub fn push_sequenced(&mut self, ev: ScheduledEvent<E>) {
         self.scheduled_total += 1;
         if self.len + 1 > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
@@ -162,6 +162,17 @@ impl<E> EventQueue<E> {
         let ev = self.buckets[idx].pop().expect("min_bucket found an event");
         self.len -= 1;
         Some(ev)
+    }
+
+    /// Remove and return the earliest event if it fires before `end`.
+    pub fn pop_before(&mut self, end: SimTime) -> Option<ScheduledEvent<E>> {
+        let idx = self.min_bucket()?;
+        let bucket = &mut self.buckets[idx];
+        if bucket.peek().expect("non-empty bucket").time >= end {
+            return None;
+        }
+        self.len -= 1;
+        bucket.pop()
     }
 
     /// Instant of the earliest pending event.

@@ -7,22 +7,18 @@
 //!
 //! * [`SimTime`] — picosecond-resolution simulated time (the paper uses a
 //!   5 GHz update frequency, i.e. 200 ps ticks; picoseconds subsume that),
-//! * [`Engine`] — a generic event loop over a user-supplied event type,
+//! * [`Engine`] — a generic event loop over a user-supplied event type:
+//!   sharded conservative-window execution configured by [`SimConfig`],
+//!   built for full-scale runs (the paper's 8,192-node fabrics).
+//!   [`Engine::new`] runs one shard on one thread; [`Engine::with_config`]
+//!   runs more. The shard count, not the thread count, fixes the results:
+//!   per-shard seq strides and RNG streams keep them bit-identical across
+//!   thread counts (see the [`engine`] module docs for the scheme),
 //! * [`Component`] — the trait simulated entities (switches, NICs, hosts)
 //!   implement,
 //! * [`SimRng`] — a seeded, reproducible RNG so that a given (seed, config)
 //!   pair always yields an identical event trace,
 //! * [`stats`] — counters and histograms for measurement collection.
-//!
-//! Two engine drivers share the same [`Component`] model:
-//!
-//! * [`Engine`] — the sequential loop: one calendar queue, simple borrow
-//!   semantics, the reference semantics everything else is measured against.
-//! * [`ParEngine`] — sharded conservative-window parallel execution for
-//!   full-scale runs (the paper's 8,192-node fabrics), configured by
-//!   [`SimConfig`]. Determinism survives parallelism: per-shard seq strides
-//!   and RNG streams keep results bit-identical across thread counts (see
-//!   the [`par`] module docs for the scheme).
 //!
 //! ```
 //! use rvma_sim::{Engine, Component, Ctx, SimTime};
@@ -50,16 +46,14 @@
 
 pub mod engine;
 pub mod event;
-pub mod par;
 pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Component, ComponentId, Ctx, Engine, EventSink, SimBuilder};
+pub use engine::{Component, ComponentId, Ctx, Engine, ParEngine, SimConfig};
 pub use event::{EventQueue, ScheduledEvent};
-pub use par::{ParEngine, SimConfig};
 pub use ring::EventRing;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, StatsRegistry};

@@ -9,7 +9,7 @@
 //! barriers) walks `head` without contention.
 //!
 //! Unlike the datapath rings there is no park/doorbell machinery: the
-//! parallel engine never blocks on a mailbox. A full ring reports
+//! engine never blocks on a mailbox. A full ring reports
 //! [`RingFull`] and the sender falls back to the shard's mutex-backed
 //! overflow list, so a burst of cross-shard traffic degrades to a lock
 //! instead of deadlocking mid-window.
@@ -104,7 +104,7 @@ impl<T> EventRing<T> {
 
     /// Pop from the single consumer thread.
     ///
-    /// # Safety contract (enforced by the parallel engine's structure)
+    /// # Safety contract (enforced by the engine's structure)
     /// Only one thread may call this at a time; the engine routes each
     /// shard's mailbox to exactly one worker.
     pub fn try_pop(&self) -> Option<T> {

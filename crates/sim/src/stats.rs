@@ -171,7 +171,7 @@ impl StatsRegistry {
     }
 
     /// Fold another registry into this one: counters add, histogram samples
-    /// append in `other`'s recorded order. The parallel engine merges shard
+    /// append in `other`'s recorded order. The engine merges shard
     /// registries in shard-id order, which keeps the merged sample sequence
     /// (and therefore f64 summation order in `mean`/`stddev`) bit-identical
     /// regardless of worker thread count.

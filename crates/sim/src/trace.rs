@@ -1,7 +1,7 @@
 //! Bounded event tracing for simulation debugging.
 //!
 //! When enabled on an [`Engine`](crate::Engine), every dispatched event
-//! appends a [`TraceEntry`] to a fixed-capacity ring. The ring keeps the
+//! appends a [`TraceEntry`] to its shard's fixed-capacity ring. The ring keeps the
 //! *most recent* events — when a simulation deadlocks or produces a wrong
 //! number, the tail of the trace is what you want.
 
@@ -16,7 +16,8 @@ pub struct TraceEntry {
     pub time: SimTime,
     /// Component it was delivered to.
     pub target: ComponentId,
-    /// Global dispatch sequence number (0 = first event ever fired).
+    /// The event's schedule sequence number, unique across shards (see
+    /// [`Engine::merged_trace`](crate::Engine::merged_trace)).
     pub seq: u64,
 }
 

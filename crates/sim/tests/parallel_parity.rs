@@ -1,4 +1,4 @@
-//! Parity suite: the parallel engine must produce bit-identical results at
+//! Parity suite: the engine must produce bit-identical results at
 //! every thread count — final clock, events fired, every counter, every
 //! histogram sample, and the merged trace. The model here is a 2-D grid of
 //! cells bouncing tokens to random neighbours (cross-shard traffic at
@@ -8,7 +8,7 @@
 //! sends, rng-dependent fan-out, mid-run stops, and deadline splits.
 
 use rvma_sim::{
-    Component, ComponentId, Ctx, ParEngine, SimConfig, SimTime, StatsRegistry, TraceEntry,
+    Component, ComponentId, Ctx, Engine, SimConfig, SimTime, StatsRegistry, TraceEntry,
 };
 
 /// Cross-cell latency: exactly the engine window (the tight legal case).
@@ -76,10 +76,10 @@ fn build_grid(
     h: u32,
     hops: u32,
     stop_cell: Option<(u32, u64)>,
-) -> ParEngine<Ev> {
+) -> Engine<Ev> {
     let mut cfg = SimConfig::new(threads, LAT);
     cfg.shards = 8;
-    let mut eng = ParEngine::new(seed, cfg);
+    let mut eng = Engine::with_config(seed, cfg);
     eng.enable_trace(1 << 16);
     let ids: Vec<ComponentId> = (0..w * h)
         .map(|i| {
@@ -120,7 +120,7 @@ struct Fingerprint {
     trace: Vec<TraceEntry>,
 }
 
-fn fingerprint(eng: &ParEngine<Ev>) -> Fingerprint {
+fn fingerprint(eng: &Engine<Ev>) -> Fingerprint {
     Fingerprint {
         now: eng.now(),
         events: eng.events_fired(),

@@ -12,7 +12,7 @@ use rvma::net::fabric::FabricConfig;
 use rvma::net::router::RoutingKind;
 use rvma::net::topology::{dragonfly, DragonflyParams};
 use rvma::nic::{NicConfig, Protocol};
-use rvma::sim::SimTime;
+use rvma::sim::{SimConfig, SimTime};
 
 fn main() {
     // A 4-stage pipeline over 8 nodes: stage i (nodes 2i, 2i+1) receives a
@@ -78,6 +78,7 @@ fn main() {
             NicConfig::default(),
             proto,
             9,
+            SimConfig::single_shard(),
             |n| {
                 if n < 8 {
                     Box::new(ReplayNode::new(&t, n)) as _

@@ -10,7 +10,7 @@ use rvma::net::topology::{
     TorusParams,
 };
 use rvma::nic::{build_cluster, HostLogic, NicConfig, Protocol, RecvInfo, TermApi};
-use rvma::sim::{Engine, SimTime};
+use rvma::sim::{Engine, SimConfig, SimTime};
 
 /// Random-pairs traffic: every even terminal sends to the next odd one.
 struct PairSender {
@@ -136,6 +136,7 @@ fn motif_runner_reports_consistent_counters() {
         NicConfig::default(),
         Protocol::Rdma,
         3,
+        SimConfig::single_shard(),
         |n| Box::new(Halo3dNode::new(motif, n)) as Box<dyn HostLogic>,
     );
     assert_eq!(r.msgs_sent, motif.total_messages());

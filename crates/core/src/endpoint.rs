@@ -57,6 +57,12 @@ pub(crate) fn mtu_ranges(len: usize, mtu: usize) -> impl Iterator<Item = Range<u
         .chain(empty)
 }
 
+/// How many fragments [`mtu_ranges`] cuts a `len`-byte payload into: at
+/// least one, since a zero-byte put is one empty fragment.
+pub(crate) fn fragment_count(len: usize, mtu: usize) -> u64 {
+    len.div_ceil(mtu).max(1) as u64
+}
+
 impl Fragment {
     /// Cut one operation's payload into its wire fragments
     /// ([`mtu_ranges`]); each fragment is a zero-copy slice of `payload`.
@@ -797,6 +803,18 @@ impl RvmaEndpoint {
 mod tests {
     use super::*;
     use crate::buffer::Threshold;
+
+    #[test]
+    fn fragment_count_counts_mtu_ranges() {
+        let mtu = 64;
+        for len in [0, 1, mtu - 1, mtu, mtu + 1, 3 * mtu] {
+            assert_eq!(
+                fragment_count(len, mtu),
+                mtu_ranges(len, mtu).count() as u64,
+                "len {len}"
+            );
+        }
+    }
 
     fn frag(va: u64, op: u64, total: u64, off: usize, data: Vec<u8>) -> Fragment {
         Fragment {

@@ -24,9 +24,16 @@
 //!
 //! The initiator-side half — retransmitting unacknowledged fragments until
 //! the [`retry_budget`](crate::endpoint::EndpointConfig::retry_budget) is
-//! spent — lives with each transport (the inline
-//! [`Initiator`](crate::transport::Initiator)'s retransmit rounds, the
-//! link-level retransmission of the threaded and shared-memory wires).
+//! spent — comes in two forms. The inline
+//! [`Initiator`](crate::transport::Initiator) runs retransmit rounds and
+//! ends in `RetryExhausted`. The wire workers of the threaded and
+//! shared-memory transports share one link layer, the crate-private
+//! `Link`: it rolls the dice per transmission, re-sends a dropped or
+//! deferred fragment with its attempt count bumped, delivers the attempt
+//! that reaches the budget fault-free, and counts pending retransmissions
+//! for the flush barrier. `deliver_copies` is the final disposition both
+//! workers share: deliver, or NACK `NoSuchMailbox` when the endpoint is
+//! gone.
 //! The recovery half for the *application* — rotating a partially-filled
 //! epoch after a timeout instead of wedging — lives in
 //! [`Window::recover_timeout`](crate::window::Window::recover_timeout) and
@@ -34,7 +41,11 @@
 //! mapping the paper's Secs. IV-E/IV-F fault-tolerance story (`MPIX_Rewind`
 //! over the retired-buffer ring) onto fabric faults.
 
+use crate::addr::NodeAddr;
+use crate::endpoint::{DeliverResult, EndpointConfig, RvmaEndpoint};
+use crate::error::NackReason;
 use crate::mailbox::OpKey;
+use crate::telemetry::{self, EventKind, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -262,6 +273,144 @@ impl FaultInjector {
         }
         decision
     }
+}
+
+/// The link-level reliability layer of the wire workers (the threaded
+/// pool and the shm server), present when the endpoint config carries a
+/// non-trivial [`FaultModel`]. Every transmission goes through
+/// [`pass`](Link::pass); a retransmission holds a slot in the
+/// pending-retry count from its [`Pass::Retry`] verdict until the retried
+/// copy is [`retired`](Link::retired), so a flush barrier that waits for
+/// zero never misses one in flight.
+pub(crate) struct Link {
+    model: FaultModel,
+    /// Per-fragment attempt budget; the attempt that reaches it delivers
+    /// fault-free (bounded zero-hang guarantee).
+    budget: u32,
+    /// Base seed; each worker's injector derives from it by index.
+    seed: u64,
+    /// Link-wide fault counters, shared by every worker's injector.
+    stats: Arc<FaultStats>,
+    pending_retries: AtomicU64,
+    /// Where `Retransmit` events go (the transport's recorder).
+    telemetry: Option<Arc<Telemetry>>,
+}
+
+/// The link's verdict on one transmission.
+pub(crate) enum Pass {
+    /// Dropped or deferred: re-send with `attempt + 1` behind the queued
+    /// traffic (already counted as a pending retry). Not a final
+    /// disposition — the retried copy carries any completion state on.
+    Retry,
+    /// Deliver `copies` times (2 = duplication fault).
+    Deliver { copies: u32 },
+}
+
+impl Link {
+    /// The link of a transport built from `config` (`None` when its fault
+    /// model can never fire); retransmissions are recorded in `telemetry`.
+    pub(crate) fn new(config: &EndpointConfig, telemetry: &Option<Arc<Telemetry>>) -> Option<Link> {
+        (!config.fault_model.is_none()).then(|| Link {
+            model: config.fault_model,
+            budget: config.retry_budget.max(1),
+            seed: config.fault_seed,
+            stats: Arc::new(FaultStats::default()),
+            pending_retries: AtomicU64::new(0),
+            telemetry: telemetry.clone(),
+        })
+    }
+
+    /// The dice of wire worker `idx`, seeded `seed ^ idx·φ` (worker 0 rolls
+    /// the base seed). The counters are shared, so `crash_after_frags`
+    /// keys off the link-wide transmit sequence.
+    pub(crate) fn injector(&self, idx: usize) -> FaultInjector {
+        let seed = self.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        FaultInjector::new(self.model, seed, self.stats.clone())
+    }
+
+    /// The link-wide fault counters.
+    pub(crate) fn stats(&self) -> &Arc<FaultStats> {
+        &self.stats
+    }
+
+    /// Retransmissions issued and not yet retired.
+    pub(crate) fn pending_retries(&self) -> u64 {
+        self.pending_retries.load(Ordering::Acquire)
+    }
+
+    /// One transmission of a `len`-byte fragment of operation `op`
+    /// (initiator, op id) on its `attempt`-th retry (0 = first send).
+    /// Zero-length fragments carry no payload a fabric could corrupt and
+    /// bypass the dice, as does the attempt that reaches the budget.
+    /// Otherwise the dice roll: a crash runs `on_crash` (the destination
+    /// endpoint goes away) and swallows the fragment like a drop; a drop
+    /// or deferral is a [`Pass::Retry`].
+    #[inline]
+    pub(crate) fn pass(
+        &self,
+        inj: &mut FaultInjector,
+        len: usize,
+        attempt: u32,
+        op: (NodeAddr, u64),
+        on_crash: impl FnOnce(),
+    ) -> Pass {
+        if len == 0 || attempt >= self.budget {
+            return Pass::Deliver { copies: 1 };
+        }
+        let d = inj.roll();
+        if d.crash {
+            on_crash();
+        }
+        if d.drop || d.defer_spans > 0 {
+            self.pending_retries.fetch_add(1, Ordering::AcqRel);
+            let (initiator, op_id) = op;
+            telemetry::record(
+                &self.telemetry,
+                EventKind::Retransmit,
+                telemetry::initiator_key(initiator.nid, initiator.pid),
+                op_id,
+                (attempt + 1) as u64,
+            );
+            return Pass::Retry;
+        }
+        Pass::Deliver {
+            copies: if d.duplicate { 2 } else { 1 },
+        }
+    }
+
+    /// A message on its `attempt`-th try is fully processed (delivered, or
+    /// re-sent as attempt + 1): a retransmission releases its pending-retry
+    /// slot.
+    #[inline]
+    pub(crate) fn retired(&self, attempt: u32) {
+        if attempt > 0 {
+            self.pending_retries.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
+/// A fragment's final disposition at a wire worker: deliver it `copies`
+/// times through `deliver` when the destination endpoint exists, or NACK
+/// `NoSuchMailbox` once when it is gone. Every NACK goes to `nack`;
+/// returns whether any was raised.
+pub(crate) fn deliver_copies(
+    ep: Option<&RvmaEndpoint>,
+    copies: u32,
+    mut deliver: impl FnMut(&RvmaEndpoint) -> DeliverResult,
+    mut nack: impl FnMut(NackReason),
+) -> bool {
+    let Some(ep) = ep else {
+        nack(NackReason::NoSuchMailbox);
+        return true;
+    };
+    let mut nacked = false;
+    for _ in 0..copies {
+        if let DeliverResult::Nack(r) = deliver(ep) {
+            nack(r);
+            nacked = true;
+        }
+    }
+    nacked
 }
 
 /// Receiver-side duplicate suppression for one mailbox: a bounded memory

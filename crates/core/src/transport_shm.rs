@@ -45,11 +45,11 @@
 
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::endpoint::{
-    mtu_ranges, DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
+    fragment_count, mtu_ranges, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
     DEFAULT_WIRE_IDLE_YIELDS,
 };
 use crate::error::{NackReason, Result, RvmaError};
-use crate::retry::{FaultInjector, FaultStats};
+use crate::retry::{deliver_copies, FaultInjector, FaultStats, Link, Pass};
 use crate::shm::{self, ShmSegment};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::Transport;
@@ -461,25 +461,16 @@ fn rsp_hdr(seg: &ShmSegment, slot_off: usize) -> &RspHdr {
 // Server (receiver process)
 // ---------------------------------------------------------------------------
 
-/// Fault-injection state of a [`ShmServer`] (mirrors the threaded
-/// transport's plan; the injector itself lives on the worker thread).
-struct ShmFaultPlan {
-    model: crate::retry::FaultModel,
-    budget: u32,
-    seed: u64,
-    stats: Arc<FaultStats>,
-    /// Retransmissions parked in the worker's deferred queue. The flush
-    /// protocol re-defers its ack behind them while this is nonzero —
-    /// the shm half of the quiesce drain barrier.
-    pending_retries: AtomicU64,
-}
-
 struct ServerInner {
     seg: Arc<ShmSegment>,
     geo: SegGeometry,
     config: EndpointConfig,
     endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
-    fault: Option<ShmFaultPlan>,
+    /// The link layer the threaded workers run too (present when the fault
+    /// model is non-trivial). Its pending retransmissions are parked in
+    /// the worker's deferred queue; the flush protocol re-defers its ack
+    /// behind them — the shm half of the quiesce drain barrier.
+    link: Option<Link>,
     telemetry: Option<Arc<Telemetry>>,
     stop: AtomicBool,
     delivered: AtomicU64,
@@ -541,19 +532,13 @@ impl ShmServer {
         let seg = Arc::new(ShmSegment::create(path, geo.total)?);
 
         let telemetry = config.telemetry.then(|| Arc::new(Telemetry::new()));
-        let fault = (!config.fault_model.is_none()).then(|| ShmFaultPlan {
-            model: config.fault_model,
-            budget: config.retry_budget.max(1),
-            seed: config.fault_seed,
-            stats: Arc::new(FaultStats::default()),
-            pending_retries: AtomicU64::new(0),
-        });
+        let link = Link::new(&config, &telemetry);
         let inner = Arc::new(ServerInner {
             seg: seg.clone(),
             geo,
             config,
             endpoints: RwLock::new(HashMap::new()),
-            fault,
+            link,
             telemetry,
             stop: AtomicBool::new(false),
             delivered: AtomicU64::new(0),
@@ -641,17 +626,13 @@ impl ShmServer {
 
     /// Network-wide fault counters, when fault injection is active.
     pub fn fault_stats(&self) -> Option<Arc<FaultStats>> {
-        self.inner.fault.as_ref().map(|p| p.stats.clone())
+        self.inner.link.as_ref().map(|link| link.stats().clone())
     }
 
     /// Link-level retransmissions currently parked in the worker's
     /// deferred queue (nonzero ⇒ a flush ack is being held back).
     pub fn pending_retries(&self) -> u64 {
-        self.inner
-            .fault
-            .as_ref()
-            .map(|p| p.pending_retries.load(Ordering::Acquire))
-            .unwrap_or(0)
+        self.inner.link.as_ref().map_or(0, Link::pending_retries)
     }
 
     /// Fragments delivered to endpoints so far.
@@ -696,18 +677,16 @@ fn shm_worker(inner: Arc<ServerInner>) {
     let req = inner.req_ring();
     let rsp = inner.rsp_ring();
     let hdr = header(&inner.seg);
-    let mut injector = inner
-        .fault
-        .as_ref()
-        .map(|p| FaultInjector::new(p.model, p.seed, p.stats.clone()));
+    // The one worker rolls worker 0's dice: the base seed.
+    let mut dice = inner.link.as_ref().map(|link| (link, link.injector(0)));
     let mut deferred: VecDeque<ServerMsg> = VecDeque::new();
     loop {
         if let Some(msg) = pop_req(&inner, &req) {
-            process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, false);
+            process_msg(&inner, &rsp, &mut dice, &mut deferred, msg, false);
             continue;
         }
         if let Some(msg) = deferred.pop_front() {
-            process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, false);
+            process_msg(&inner, &rsp, &mut dice, &mut deferred, msg, false);
             continue;
         }
         if inner.stop.load(Ordering::Acquire) {
@@ -738,15 +717,8 @@ fn shm_worker(inner: Arc<ServerInner>) {
     }
     // Final drain, fault-free: retransmissions parked behind the stop and
     // fragments that raced the shutdown must not strand their futures.
-    loop {
-        let msg = match pop_req(&inner, &req) {
-            Some(m) => m,
-            None => match deferred.pop_front() {
-                Some(m) => m,
-                None => break,
-            },
-        };
-        process_msg(&inner, &rsp, &mut injector, &mut deferred, msg, true);
+    while let Some(msg) = pop_req(&inner, &req).or_else(|| deferred.pop_front()) {
+        process_msg(&inner, &rsp, &mut dice, &mut deferred, msg, true);
     }
 }
 
@@ -839,27 +811,26 @@ fn pop_req(inner: &ServerInner, req: &RawRing) -> Option<ServerMsg> {
 fn process_msg(
     inner: &ServerInner,
     rsp: &RawRing,
-    injector: &mut Option<FaultInjector>,
+    dice: &mut Option<(&Link, FaultInjector)>,
     deferred: &mut VecDeque<ServerMsg>,
     msg: ServerMsg,
     drain: bool,
 ) {
+    // Same link layer and dice order as the threaded worker; the final
+    // drain delivers fault-free.
+    let dice = dice.as_mut().filter(|_| !drain);
+    let crash = |dest: NodeAddr| {
+        inner.endpoints.write().remove(&dest);
+    };
     match msg {
         ServerMsg::Flush(token) => {
-            if !drain {
-                if let Some(plan) = &inner.fault {
-                    if plan.pending_retries.load(Ordering::Acquire) > 0 {
-                        // Fragments are parked in the deferred queue: the
-                        // drain barrier is not satisfied. Re-defer the
-                        // marker *behind* them (satellite of quiesce
-                        // correctness — the ack must account for the shm
-                        // ring/doorbell path's parked fragments the same
-                        // way the threaded barrier accounts for fault
-                        // re-enqueues).
-                        deferred.push_back(ServerMsg::Flush(token));
-                        return;
-                    }
-                }
+            if !drain && inner.link.as_ref().is_some_and(|l| l.pending_retries() > 0) {
+                // Fragments are parked in the deferred queue: the drain
+                // barrier is not satisfied. Re-defer the marker *behind*
+                // them, so the ack accounts for parked retransmissions the
+                // same way the threaded barrier does.
+                deferred.push_back(ServerMsg::Flush(token));
+                return;
             }
             push_rsp(
                 inner,
@@ -879,41 +850,21 @@ fn process_msg(
             token,
             attempt,
         } => {
-            let mut copies = 1u32;
-            if !drain {
-                if let (Some(inj), Some(plan)) = (injector.as_mut(), inner.fault.as_ref()) {
-                    // Same dice discipline as the threaded worker:
-                    // zero-length fragments bypass the dice, and the
-                    // attempt that reaches the budget delivers fault-free.
-                    if !frag.data.is_empty() && attempt < plan.budget {
-                        let d = inj.roll();
-                        if d.crash {
-                            inner.endpoints.write().remove(&dest);
-                        }
-                        if d.drop || d.defer_spans > 0 {
-                            plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                            telemetry::record(
-                                &inner.telemetry,
-                                EventKind::Retransmit,
-                                telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-                                frag.op_id,
-                                (attempt + 1) as u64,
-                            );
-                            deferred.push_back(ServerMsg::Frag {
-                                dest,
-                                frag,
-                                token,
-                                attempt: attempt + 1,
-                            });
-                            if attempt > 0 {
-                                plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            return;
-                        }
-                        if d.duplicate {
-                            copies = 2;
-                        }
+            let mut copies = 1;
+            if let Some((link, inj)) = dice {
+                let op = (frag.initiator, frag.op_id);
+                match link.pass(inj, frag.data.len(), attempt, op, || crash(dest)) {
+                    Pass::Retry => {
+                        deferred.push_back(ServerMsg::Frag {
+                            dest,
+                            frag,
+                            token,
+                            attempt: attempt + 1,
+                        });
+                        link.retired(attempt);
+                        return;
                     }
+                    Pass::Deliver { copies: c } => copies = c,
                 }
             }
             telemetry::record(
@@ -923,41 +874,14 @@ fn process_msg(
                 frag.op_id,
                 frag.offset as u64,
             );
-            let mut nacked = false;
-            match inner.endpoints.read().get(&dest).cloned() {
-                Some(ep) => {
-                    for _ in 0..copies {
-                        if let DeliverResult::Nack(r) = ep.deliver(&frag) {
-                            push_rsp(
-                                inner,
-                                rsp,
-                                &RspMsg {
-                                    kind: RSP_NACK,
-                                    token: 0,
-                                    reason: encode_nack(r),
-                                    nacked: 1,
-                                    vaddr: frag.dst_vaddr.0,
-                                },
-                            );
-                            nacked = true;
-                        }
-                    }
-                }
-                None => {
-                    push_rsp(
-                        inner,
-                        rsp,
-                        &RspMsg {
-                            kind: RSP_NACK,
-                            token: 0,
-                            reason: encode_nack(NackReason::NoSuchMailbox),
-                            nacked: 1,
-                            vaddr: frag.dst_vaddr.0,
-                        },
-                    );
-                    nacked = true;
-                }
-            }
+            let vaddr = frag.dst_vaddr.0;
+            let ep = inner.endpoints.read().get(&dest).cloned();
+            let nacked = deliver_copies(
+                ep.as_deref(),
+                copies,
+                |ep| ep.deliver(&frag),
+                |r| push_nack(inner, rsp, r, vaddr),
+            );
             inner.delivered.fetch_add(1, Ordering::Relaxed);
             if token != 0 {
                 push_rsp(
@@ -968,14 +892,12 @@ fn process_msg(
                         token,
                         reason: 0,
                         nacked: nacked as u32,
-                        vaddr: frag.dst_vaddr.0,
+                        vaddr,
                     },
                 );
             }
-            if attempt > 0 {
-                if let Some(plan) = &inner.fault {
-                    plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                }
+            if let Some(link) = &inner.link {
+                link.retired(attempt);
             }
         }
         ServerMsg::Bulk {
@@ -990,48 +912,30 @@ fn process_msg(
             attempt,
         } => {
             let len = total_len as usize;
-            let mut copies = 1u32;
-            if !drain {
-                if let (Some(inj), Some(plan)) = (injector.as_mut(), inner.fault.as_ref()) {
-                    // The RTS descriptor rolls the same dice as a put
-                    // fragment. A deferred copy stays valid because the
-                    // client holds the extent reserved until our ack; a
-                    // duplicated copy delivers twice and the dedup window
-                    // suppresses the second — exactly one ack either way.
-                    if len > 0 && attempt < plan.budget {
-                        let d = inj.roll();
-                        if d.crash {
-                            inner.endpoints.write().remove(&dest);
-                        }
-                        if d.drop || d.defer_spans > 0 {
-                            plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                            telemetry::record(
-                                &inner.telemetry,
-                                EventKind::Retransmit,
-                                telemetry::initiator_key(initiator.nid, initiator.pid),
-                                op_id,
-                                (attempt + 1) as u64,
-                            );
-                            deferred.push_back(ServerMsg::Bulk {
-                                dest,
-                                initiator,
-                                op_id,
-                                vaddr,
-                                total_len,
-                                offset,
-                                ext_off,
-                                token,
-                                attempt: attempt + 1,
-                            });
-                            if attempt > 0 {
-                                plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            return;
-                        }
-                        if d.duplicate {
-                            copies = 2;
-                        }
+            let mut copies = 1;
+            if let Some((link, inj)) = dice {
+                // The RTS descriptor rolls the same dice as a put
+                // fragment. A deferred copy stays valid because the
+                // client holds the extent reserved until our ack; a
+                // duplicated copy delivers twice and the dedup window
+                // suppresses the second — exactly one ack either way.
+                match link.pass(inj, len, attempt, (initiator, op_id), || crash(dest)) {
+                    Pass::Retry => {
+                        deferred.push_back(ServerMsg::Bulk {
+                            dest,
+                            initiator,
+                            op_id,
+                            vaddr,
+                            total_len,
+                            offset,
+                            ext_off,
+                            token,
+                            attempt: attempt + 1,
+                        });
+                        link.retired(attempt);
+                        return;
                     }
+                    Pass::Deliver { copies: c } => copies = c,
                 }
             }
             let src_key = telemetry::initiator_key(initiator.nid, initiator.pid);
@@ -1042,7 +946,6 @@ fn process_msg(
                 op_id,
                 offset as u64,
             );
-            let mut nacked = false;
             // The extent must sit wholly inside the bulk region before the
             // worker dereferences it — a corrupt or hostile descriptor
             // NACKs instead of faulting the server process.
@@ -1050,71 +953,34 @@ fn process_msg(
                 && ext_off
                     .checked_add(len)
                     .is_some_and(|end| end <= inner.geo.bulk_bytes);
-            if !in_bounds {
-                push_rsp(
-                    inner,
-                    rsp,
-                    &RspMsg {
-                        kind: RSP_NACK,
-                        token: 0,
-                        reason: encode_nack(NackReason::OutOfBounds),
-                        nacked: 1,
-                        vaddr: vaddr.0,
-                    },
-                );
-                nacked = true;
-            } else {
-                match inner.endpoints.read().get(&dest).cloned() {
-                    Some(ep) => {
-                        // SAFETY: bounds validated against the bulk region
-                        // above; the client keeps the extent reserved (and
-                        // unwritten) until it sees our ack.
-                        let data = unsafe {
-                            let p = inner.seg.as_ptr().add(inner.geo.bulk_base + ext_off);
-                            std::slice::from_raw_parts(p, len)
-                        };
-                        telemetry::record(
-                            &inner.telemetry,
-                            EventKind::BulkDeliver,
-                            src_key,
-                            op_id,
-                            total_len,
-                        );
-                        for _ in 0..copies {
-                            if let DeliverResult::Nack(r) =
-                                ep.deliver_slice(initiator, op_id, vaddr, total_len, offset, data)
-                            {
-                                push_rsp(
-                                    inner,
-                                    rsp,
-                                    &RspMsg {
-                                        kind: RSP_NACK,
-                                        token: 0,
-                                        reason: encode_nack(r),
-                                        nacked: 1,
-                                        vaddr: vaddr.0,
-                                    },
-                                );
-                                nacked = true;
-                            }
-                        }
-                    }
-                    None => {
-                        push_rsp(
-                            inner,
-                            rsp,
-                            &RspMsg {
-                                kind: RSP_NACK,
-                                token: 0,
-                                reason: encode_nack(NackReason::NoSuchMailbox),
-                                nacked: 1,
-                                vaddr: vaddr.0,
-                            },
-                        );
-                        nacked = true;
-                    }
+            let nacked = if in_bounds {
+                let ep = inner.endpoints.read().get(&dest).cloned();
+                if ep.is_some() {
+                    telemetry::record(
+                        &inner.telemetry,
+                        EventKind::BulkDeliver,
+                        src_key,
+                        op_id,
+                        total_len,
+                    );
                 }
-            }
+                // SAFETY: bounds validated against the bulk region above;
+                // the client keeps the extent reserved (and unwritten)
+                // until it sees our ack.
+                let data = unsafe {
+                    let p = inner.seg.as_ptr().add(inner.geo.bulk_base + ext_off);
+                    std::slice::from_raw_parts(p, len)
+                };
+                deliver_copies(
+                    ep.as_deref(),
+                    copies,
+                    |ep| ep.deliver_slice(initiator, op_id, vaddr, total_len, offset, data),
+                    |r| push_nack(inner, rsp, r, vaddr.0),
+                )
+            } else {
+                push_nack(inner, rsp, NackReason::OutOfBounds, vaddr.0);
+                true
+            };
             inner.delivered.fetch_add(1, Ordering::Relaxed);
             // Rendezvous tokens are always nonzero: the ack doubles as the
             // extent-release message, so it must flow even for
@@ -1130,13 +996,26 @@ fn process_msg(
                     vaddr: vaddr.0,
                 },
             );
-            if attempt > 0 {
-                if let Some(plan) = &inner.fault {
-                    plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
-                }
+            if let Some(link) = &inner.link {
+                link.retired(attempt);
             }
         }
     }
+}
+
+/// Publish an asynchronous NACK of the mailbox at `vaddr`.
+fn push_nack(inner: &ServerInner, rsp: &RawRing, reason: NackReason, vaddr: u64) {
+    push_rsp(
+        inner,
+        rsp,
+        &RspMsg {
+            kind: RSP_NACK,
+            token: 0,
+            reason: encode_nack(reason),
+            nacked: 1,
+            vaddr,
+        },
+    );
 }
 
 /// Blocking response push: acks must not drop while the client lives. A
@@ -1670,54 +1549,16 @@ impl ShmClient {
             "extent belongs to a different client"
         );
         let op_id = inner.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(inner.src.nid, inner.src.pid);
         telemetry::record(
             &inner.telemetry,
             EventKind::Submit,
-            src_key,
+            telemetry::initiator_key(inner.src.nid, inner.src.pid),
             op_id,
             ext.len as u64,
         );
-        let token = self.alloc_token();
-        let notify = PutNotify::new(1);
-        // `extent: None`: the application owns the extent's lifetime —
+        // No owned extent: the application owns the extent's lifetime —
         // the ack resolves the future but releases nothing.
-        inner.tokens.lock().insert(
-            token,
-            PendingPut {
-                notify: notify.clone(),
-                remaining: 1,
-                extent: None,
-            },
-        );
-        telemetry::record(
-            &inner.telemetry,
-            EventKind::RingEnqueue,
-            src_key,
-            op_id,
-            offset as u64,
-        );
-        let pushed = self.push_req(|h, payload| {
-            h.kind.store(REQ_BULK, Ordering::Relaxed);
-            h.len.store(8, Ordering::Relaxed);
-            h.dest_nid.store(dest.nid, Ordering::Relaxed);
-            h.dest_pid.store(dest.pid, Ordering::Relaxed);
-            h.init_nid.store(inner.src.nid, Ordering::Relaxed);
-            h.init_pid.store(inner.src.pid, Ordering::Relaxed);
-            h.token.store(token, Ordering::Relaxed);
-            h.op_id.store(op_id, Ordering::Relaxed);
-            h.vaddr.store(vaddr.0, Ordering::Relaxed);
-            h.total_len.store(ext.len as u64, Ordering::Relaxed);
-            h.offset.store(offset as u64, Ordering::Relaxed);
-            // SAFETY: the payload region is at least MTU (> 8) bytes.
-            unsafe {
-                std::ptr::write_unaligned(payload as *mut u64, ext.off as u64);
-            }
-        });
-        if let Err(e) = pushed {
-            inner.tokens.lock().remove(&token);
-            return Err(e);
-        }
+        let notify = self.push_rts(dest, vaddr, offset, op_id, (ext.off, ext.len), None)?;
         Ok(PutFuture::from_notify(notify, 1))
     }
 
@@ -1763,7 +1604,7 @@ impl ShmClient {
         let token = self.alloc_token();
         // A put is at least one fragment even when empty — the countdown
         // must resolve for zero-length puts (no-wire-payload audit).
-        let fragments = data.len().div_ceil(inner.geo.mtu).max(1) as u64;
+        let fragments = fragment_count(data.len(), inner.geo.mtu);
         let notify = PutNotify::new(fragments);
         inner.tokens.lock().insert(
             token,
@@ -1828,6 +1669,26 @@ impl ShmClient {
                 data.len(),
             );
         }
+        let extent = (ext_off, data.len());
+        let notify = self.push_rts(dest, vaddr, offset, op_id, extent, Some(order))?;
+        Ok(want_notify.then(|| PutFuture::from_notify(notify, 1)))
+    }
+
+    /// Push one rendezvous RTS descriptor for the `(offset, len)` extent of
+    /// the bulk region, tokened so the server's ack resolves the returned
+    /// countdown. `owned` is the buddy order of an extent this put
+    /// reserved itself: the ack releases it. `None` leaves a registered
+    /// extent to its owner.
+    fn push_rts(
+        &self,
+        dest: NodeAddr,
+        vaddr: VirtAddr,
+        offset: usize,
+        op_id: u64,
+        (ext_off, len): (usize, usize),
+        owned: Option<u32>,
+    ) -> Result<Arc<PutNotify>> {
+        let inner = &self.inner;
         let token = self.alloc_token();
         let notify = PutNotify::new(1);
         inner.tokens.lock().insert(
@@ -1835,13 +1696,13 @@ impl ShmClient {
             PendingPut {
                 notify: notify.clone(),
                 remaining: 1,
-                extent: Some((ext_off, order, data.len())),
+                extent: owned.map(|order| (ext_off, order, len)),
             },
         );
         telemetry::record(
             &inner.telemetry,
             EventKind::RingEnqueue,
-            src_key,
+            telemetry::initiator_key(inner.src.nid, inner.src.pid),
             op_id,
             offset as u64,
         );
@@ -1855,7 +1716,7 @@ impl ShmClient {
             h.token.store(token, Ordering::Relaxed);
             h.op_id.store(op_id, Ordering::Relaxed);
             h.vaddr.store(vaddr.0, Ordering::Relaxed);
-            h.total_len.store(data.len() as u64, Ordering::Relaxed);
+            h.total_len.store(len as u64, Ordering::Relaxed);
             h.offset.store(offset as u64, Ordering::Relaxed);
             // SAFETY: the payload region is at least MTU (> 8) bytes.
             unsafe {
@@ -1863,10 +1724,10 @@ impl ShmClient {
             }
         });
         if let Err(e) = pushed {
-            // Never reached the wire: unwind reservation and token. (If
-            // push_req failed, fail_all_pending may already have drained
-            // the token and released the extent — only release what we
-            // removed ourselves.)
+            // Never reached the wire: unwind token and owned reservation.
+            // (If push_req failed, fail_all_pending may already have
+            // drained the token and released the extent — only release
+            // what we removed ourselves.)
             if let Some(p) = inner.tokens.lock().remove(&token) {
                 if let Some((off, ord, len)) = p.extent {
                     inner.release_extent(off, ord, len);
@@ -1874,7 +1735,7 @@ impl ShmClient {
             }
             return Err(e);
         }
-        Ok(want_notify.then(|| PutFuture::from_notify(notify, 1)))
+        Ok(notify)
     }
 
     /// Fragment and push one put into the request ring.
@@ -2069,17 +1930,7 @@ fn rsp_pump(inner: Arc<ClientInner>) {
     let hdr = header(&inner.seg);
     let mut dead_checks = 0u32;
     loop {
-        if let Some(idx) = rsp.begin_pop() {
-            let off = rsp.slot_off(idx);
-            let h = rsp_hdr(&inner.seg, off);
-            let msg = RspMsg {
-                kind: h.kind.load(Ordering::Relaxed),
-                token: h.token.load(Ordering::Relaxed),
-                reason: h.reason.load(Ordering::Relaxed),
-                nacked: h.nacked.load(Ordering::Relaxed),
-                vaddr: h.vaddr.load(Ordering::Relaxed),
-            };
-            rsp.release_pop(idx);
+        if let Some(msg) = pop_rsp(&inner, &rsp) {
             handle_rsp(&inner, msg);
             continue;
         }
@@ -2090,17 +1941,7 @@ fn rsp_pump(inner: Arc<ClientInner>) {
         if dead_checks.is_multiple_of(8) && inner.server_dead() {
             // Drain what the server managed to push before dying, then
             // fail the rest.
-            while let Some(idx) = rsp.begin_pop() {
-                let off = rsp.slot_off(idx);
-                let h = rsp_hdr(&inner.seg, off);
-                let msg = RspMsg {
-                    kind: h.kind.load(Ordering::Relaxed),
-                    token: h.token.load(Ordering::Relaxed),
-                    reason: h.reason.load(Ordering::Relaxed),
-                    nacked: h.nacked.load(Ordering::Relaxed),
-                    vaddr: h.vaddr.load(Ordering::Relaxed),
-                };
-                rsp.release_pop(idx);
+            while let Some(msg) = pop_rsp(&inner, &rsp) {
                 handle_rsp(&inner, msg);
             }
             inner.fail_all_pending();
@@ -2125,6 +1966,21 @@ fn rsp_pump(inner: Arc<ClientInner>) {
         }
         hdr.rsp_bell.wait(seen, DOORBELL_WAIT);
     }
+}
+
+/// Decode the next response-ring slot (the client's mirror of `pop_req`).
+fn pop_rsp(inner: &ClientInner, rsp: &RawRing) -> Option<RspMsg> {
+    let idx = rsp.begin_pop()?;
+    let h = rsp_hdr(&inner.seg, rsp.slot_off(idx));
+    let msg = RspMsg {
+        kind: h.kind.load(Ordering::Relaxed),
+        token: h.token.load(Ordering::Relaxed),
+        reason: h.reason.load(Ordering::Relaxed),
+        nacked: h.nacked.load(Ordering::Relaxed),
+        vaddr: h.vaddr.load(Ordering::Relaxed),
+    };
+    rsp.release_pop(idx);
+    Some(msg)
 }
 
 fn handle_rsp(inner: &ClientInner, msg: RspMsg) {

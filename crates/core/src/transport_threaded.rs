@@ -98,7 +98,8 @@
 //! each wire worker into a lossy link with its own seeded
 //! [`FaultInjector`] (seeds derived from
 //! [`fault_seed`](crate::endpoint::EndpointConfig), counters shared in one
-//! [`FaultStats`]). A faulted fragment is handled
+//! [`FaultStats`]). The policy is the link layer in [`crate::retry`],
+//! shared with the shm server's worker. A faulted fragment is handled
 //! the way a reliable link layer handles it:
 //!
 //! * **drop / defer** — the fragment is re-enqueued on the *same* worker
@@ -123,13 +124,13 @@
 use crate::addr::{NodeAddr, VirtAddr};
 use crate::csync::{self, AtomicU64 as CheckedU64, Mutation};
 use crate::endpoint::{
-    DeliverResult, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
+    fragment_count, EndpointConfig, Fragment, RvmaEndpoint, DEFAULT_WIRE_IDLE_SPINS,
     DEFAULT_WIRE_IDLE_YIELDS,
 };
 use crate::error::{NackReason, Result, RvmaError};
 use crate::notify::AtomicWaker;
 use crate::pool::{PayloadPool, PoolStats};
-use crate::retry::{FaultInjector, FaultModel, FaultStats};
+use crate::retry::{deliver_copies, FaultInjector, FaultStats, Link, Pass};
 use crate::ring::{PushError, RingQueue, RingStats, RingStatsSnapshot};
 use crate::telemetry::{self, EventKind, Telemetry};
 use crate::transport::{DeliveryOrder, DEFAULT_MTU};
@@ -311,25 +312,6 @@ enum WireMsg {
     Stop,
 }
 
-/// Fault-injection state of an [`AsyncNetwork`] (present only when the
-/// endpoint config carries a non-trivial [`FaultModel`]).
-struct FaultPlan {
-    model: FaultModel,
-    /// Per-fragment attempt budget; the attempt that reaches it delivers
-    /// fault-free (bounded zero-hang guarantee).
-    budget: u32,
-    /// Base seed; each worker's injector derives from it by index.
-    seed: u64,
-    /// Network-wide fault counters, shared by every worker's injector.
-    stats: Arc<FaultStats>,
-    /// Retransmissions enqueued but not yet fully processed. `quiesce`
-    /// repeats its barrier until this reaches zero; incremented *before*
-    /// the re-enqueue send and decremented only after the retried message
-    /// is completely processed, so it is never transiently zero while a
-    /// retry is in flight.
-    pending_retries: AtomicU64,
-}
-
 struct Shared {
     endpoints: RwLock<HashMap<NodeAddr, Arc<RvmaEndpoint>>>,
     /// Bumped on every endpoint add/register/remove; route caches and the
@@ -347,7 +329,9 @@ struct Shared {
     /// Configuration applied to endpoints created by
     /// [`AsyncNetwork::add_endpoint`] (dedup window, fault model, …).
     endpoint_config: EndpointConfig,
-    faults: Option<FaultPlan>,
+    /// The link layer of the wire workers (present when the fault model
+    /// is non-trivial).
+    link: Option<Link>,
     /// Network-wide telemetry recorder (present when
     /// [`EndpointConfig::telemetry`] is set); attached to every endpoint
     /// the network creates or registers.
@@ -541,24 +525,12 @@ fn deliver_one(
         frag.op_id,
         frag.offset as u64,
     );
-    let mut nacked = false;
-    match cache.get(shared, dest) {
-        Some(ep) => {
-            for _ in 0..copies {
-                if let DeliverResult::Nack(r) = ep.deliver(frag) {
-                    nacks.lock().push((frag.dst_vaddr, r));
-                    nacked = true;
-                }
-            }
-        }
-        None => {
-            nacks
-                .lock()
-                .push((frag.dst_vaddr, NackReason::NoSuchMailbox));
-            nacked = true;
-        }
-    }
-    nacked
+    deliver_copies(
+        cache.get(shared, dest).as_deref(),
+        copies,
+        |ep| ep.deliver(frag),
+        |r| nacks.lock().push((frag.dst_vaddr, r)),
+    )
 }
 
 /// Deliver a batch through `RvmaEndpoint::deliver_batch` (one sink lock
@@ -620,20 +592,9 @@ fn quiesce_shared(shared: &Shared) {
         while acks.load(Ordering::Acquire) < shared.queues.len() {
             std::thread::yield_now();
         }
-        match &shared.faults {
-            Some(plan) if plan.pending_retries.load(Ordering::Acquire) > 0 => continue,
+        match &shared.link {
+            Some(link) if link.pending_retries() > 0 => continue,
             _ => break,
-        }
-    }
-}
-
-/// A retried message has been fully processed: release its slot in the
-/// pending-retry count `quiesce` waits on.
-#[inline]
-fn finish_retry(faults: Option<&FaultPlan>, attempt: u32) {
-    if attempt > 0 {
-        if let Some(plan) = faults {
-            plan.pending_retries.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
@@ -690,14 +651,11 @@ fn next_msg(
 }
 
 fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
-    let mut delivered = 0u64;
-    let mut cache = EndpointCache::new();
     // Retransmissions go to the back of this worker's own ring, keeping
     // every retried fragment on the FIFO that owns its mailbox; `deferred`
     // absorbs them when the ring is full (see `enqueue_retry`).
     let ring = shared.queues[idx].clone();
     ring.register_consumer();
-    let mut deferred: VecDeque<WireMsg> = VecDeque::new();
     // Spinning only helps when producer and consumer can run in parallel.
     // On a single-CPU host an idle-spinning worker *holds the core the
     // producer needs*, turning every put into a scheduler-granularity
@@ -712,73 +670,57 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
     } else {
         (0, 0)
     };
-    // Each worker rolls its own seeded dice; the counters are shared, so
-    // `crash_after_frags` keys off the network-wide transmit sequence.
-    let mut injector = shared.faults.as_ref().map(|plan| {
-        let worker_seed = plan.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        FaultInjector::new(plan.model, worker_seed, plan.stats.clone())
-    });
-    // NACKs of one batch collect here and publish with a single sink lock.
-    let mut scratch_nacks: Vec<(VirtAddr, NackReason)> = Vec::new();
+    let mut worker = WireWorker {
+        shared: &shared,
+        ring: &ring,
+        deferred: VecDeque::new(),
+        cache: EndpointCache::new(),
+        dice: shared.link.as_ref().map(|link| (link, link.injector(idx))),
+        scratch_nacks: Vec::new(),
+        latency,
+        delivered: 0,
+    };
     loop {
-        let Some(msg) = next_msg(&ring, &mut deferred, idle_spins, idle_yields) else {
+        let Some(msg) = next_msg(&ring, &mut worker.deferred, idle_spins, idle_yields) else {
             continue; // woke from park: re-poll
         };
-        match msg {
-            WireMsg::Stop => {
-                // Retransmissions re-enqueued (or spilled) behind the Stop
-                // marker must not be stranded: drain the ring and the spill
-                // list, delivering fault-free.
-                loop {
-                    let tail = match ring.try_pop() {
-                        Some(m) => m,
-                        None => match deferred.pop_front() {
-                            Some(m) => m,
-                            None => break,
-                        },
-                    };
-                    match tail {
-                        WireMsg::Deliver {
-                            dest,
-                            frag,
-                            nacks,
-                            attempt,
-                            notify,
-                        } => {
-                            let nacked = deliver_one(&shared, &mut cache, dest, &frag, &nacks, 1);
-                            delivered += 1;
-                            if let Some(n) = notify {
-                                n.fragments_done(1, nacked);
-                            }
-                            finish_retry(shared.faults.as_ref(), attempt);
-                        }
-                        WireMsg::DeliverBatch {
-                            dest,
-                            frags,
-                            nacks,
-                            notify,
-                        } => {
-                            let (n, nacked) = deliver_many(
-                                &shared,
-                                &mut cache,
-                                dest,
-                                &frags,
-                                &nacks,
-                                &mut scratch_nacks,
-                            );
-                            delivered += n;
-                            if let Some(pn) = notify {
-                                pn.fragments_done(frags.len() as u64, nacked > 0);
-                            }
-                        }
-                        WireMsg::Flush { acks } => {
-                            acks.fetch_add(1, Ordering::AcqRel);
-                        }
-                        WireMsg::Stop => {}
-                    }
-                }
-                break;
+        if let WireMsg::Stop = msg {
+            // Retransmissions re-enqueued (or spilled) behind the Stop
+            // marker must not be stranded: drain the ring and the spill
+            // list, delivering fault-free.
+            while let Some(tail) = ring.try_pop().or_else(|| worker.deferred.pop_front()) {
+                worker.handle(tail, true);
             }
+            return worker.delivered;
+        }
+        worker.handle(msg, false);
+    }
+}
+
+/// One wire worker's state: its ring, the spill list of retransmissions
+/// that found the ring full, its endpoint cache and its dice.
+struct WireWorker<'a> {
+    shared: &'a Shared,
+    ring: &'a RingQueue<WireMsg>,
+    deferred: VecDeque<WireMsg>,
+    cache: EndpointCache,
+    /// The link layer and this worker's seeded injector (fault model on).
+    dice: Option<(&'a Link, FaultInjector)>,
+    /// NACKs of one batch collect here and publish with one sink lock.
+    scratch_nacks: Vec<(VirtAddr, NackReason)>,
+    latency: Duration,
+    delivered: u64,
+}
+
+impl WireWorker<'_> {
+    /// Process one message. `drain` is the teardown pass behind `Stop`:
+    /// no dice and no added latency, so every fragment reaches its final
+    /// disposition before the worker exits.
+    fn handle(&mut self, msg: WireMsg, drain: bool) {
+        let dice = self.dice.as_mut().filter(|_| !drain);
+        let shared = self.shared;
+        match msg {
+            WireMsg::Stop => {}
             WireMsg::Flush { acks } => {
                 acks.fetch_add(1, Ordering::AcqRel);
             }
@@ -789,58 +731,41 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
                 attempt,
                 notify,
             } => {
-                let mut copies = 1u32;
-                if let (Some(inj), Some(plan)) = (injector.as_mut(), shared.faults.as_ref()) {
-                    // Zero-length fragments carry no payload a fabric could
-                    // corrupt; they bypass the dice (same rule as the inline
-                    // LoopbackNetwork). The attempt that reaches the budget
-                    // delivers fault-free: bounded retransmission, no hang.
-                    if !frag.data.is_empty() && attempt < plan.budget {
-                        let d = inj.roll();
-                        if d.crash {
-                            shared.crash_endpoint(dest);
+                let mut copies = 1;
+                if let Some((link, inj)) = dice {
+                    let op = (frag.initiator, frag.op_id);
+                    match link.pass(inj, frag.data.len(), attempt, op, || {
+                        shared.crash_endpoint(dest)
+                    }) {
+                        // Link-level retransmit; a deferred fragment is
+                        // simply one that re-arrives behind the queue's
+                        // younger traffic.
+                        Pass::Retry => {
+                            let retry = WireMsg::Deliver {
+                                dest,
+                                frag,
+                                nacks,
+                                attempt: attempt + 1,
+                                notify,
+                            };
+                            enqueue_retry(self.ring, &mut self.deferred, retry);
+                            link.retired(attempt);
+                            return;
                         }
-                        if d.drop || d.defer_spans > 0 {
-                            // Link-level retransmit; a deferred fragment is
-                            // simply one that re-arrives behind the queue's
-                            // younger traffic. Not a final disposition: the
-                            // retried copy carries the put-notify countdown.
-                            plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                            telemetry::record(
-                                &shared.telemetry,
-                                EventKind::Retransmit,
-                                telemetry::initiator_key(frag.initiator.nid, frag.initiator.pid),
-                                frag.op_id,
-                                (attempt + 1) as u64,
-                            );
-                            enqueue_retry(
-                                &ring,
-                                &mut deferred,
-                                WireMsg::Deliver {
-                                    dest,
-                                    frag,
-                                    nacks,
-                                    attempt: attempt + 1,
-                                    notify,
-                                },
-                            );
-                            finish_retry(shared.faults.as_ref(), attempt);
-                            continue;
-                        }
-                        if d.duplicate {
-                            copies = 2;
-                        }
+                        Pass::Deliver { copies: c } => copies = c,
                     }
                 }
-                if !latency.is_zero() {
-                    std::thread::sleep(latency);
+                if !drain && !self.latency.is_zero() {
+                    std::thread::sleep(self.latency);
                 }
-                let nacked = deliver_one(&shared, &mut cache, dest, &frag, &nacks, copies);
-                delivered += 1;
+                let nacked = deliver_one(shared, &mut self.cache, dest, &frag, &nacks, copies);
+                self.delivered += 1;
                 if let Some(n) = notify {
                     n.fragments_done(1, nacked);
                 }
-                finish_retry(shared.faults.as_ref(), attempt);
+                if let Some(link) = &shared.link {
+                    link.retired(attempt);
+                }
             }
             WireMsg::DeliverBatch {
                 dest,
@@ -852,80 +777,63 @@ fn wire_worker(shared: Arc<Shared>, idx: usize, latency: Duration) -> u64 {
                 // (a duplicated fragment still finalizes once; a retried
                 // one finalizes on a later pass).
                 let mut finalized = frags.len() as u64;
-                let frags = match (injector.as_mut(), shared.faults.as_ref()) {
-                    (Some(inj), Some(plan)) => {
-                        // Roll per fragment; survivors stay a batch, faulted
-                        // fragments retry individually (attempt 1: the
-                        // batch pass was their first transmission).
+                let frags = match dice {
+                    Some((link, inj)) => {
+                        // Survivors stay a batch; faulted fragments retry
+                        // individually as attempt 1 (the batch pass was
+                        // their first transmission).
                         let mut clean: Vec<Fragment> = Vec::with_capacity(frags.len());
                         for frag in frags {
-                            if frag.data.is_empty() {
-                                clean.push(frag);
-                                continue;
-                            }
-                            let d = inj.roll();
-                            if d.crash {
-                                shared.crash_endpoint(dest);
-                            }
-                            if d.drop || d.defer_spans > 0 {
-                                plan.pending_retries.fetch_add(1, Ordering::AcqRel);
-                                telemetry::record(
-                                    &shared.telemetry,
-                                    EventKind::Retransmit,
-                                    telemetry::initiator_key(
-                                        frag.initiator.nid,
-                                        frag.initiator.pid,
-                                    ),
-                                    frag.op_id,
-                                    1,
-                                );
-                                enqueue_retry(
-                                    &ring,
-                                    &mut deferred,
-                                    WireMsg::Deliver {
+                            let op = (frag.initiator, frag.op_id);
+                            match link
+                                .pass(inj, frag.data.len(), 0, op, || shared.crash_endpoint(dest))
+                            {
+                                Pass::Retry => {
+                                    let retry = WireMsg::Deliver {
                                         dest,
                                         frag,
                                         nacks: nacks.clone(),
                                         attempt: 1,
                                         notify: notify.clone(),
-                                    },
-                                );
-                                finalized -= 1;
-                                continue;
+                                    };
+                                    enqueue_retry(self.ring, &mut self.deferred, retry);
+                                    finalized -= 1;
+                                }
+                                Pass::Deliver { copies } => {
+                                    for _ in 1..copies {
+                                        clean.push(frag.clone());
+                                    }
+                                    clean.push(frag);
+                                }
                             }
-                            if d.duplicate {
-                                clean.push(frag.clone());
-                            }
-                            clean.push(frag);
                         }
                         clean
                     }
-                    _ => frags,
+                    None => frags,
                 };
                 if frags.is_empty() {
-                    continue;
+                    return;
                 }
-                if !latency.is_zero() {
+                if !drain && !self.latency.is_zero() {
                     // Every fragment still pays the wire latency; a batch
                     // pays it as one sleep instead of N.
-                    std::thread::sleep(latency * frags.len() as u32);
+                    std::thread::sleep(self.latency * frags.len() as u32);
                 }
                 let (n, nack_count) = deliver_many(
-                    &shared,
-                    &mut cache,
+                    shared,
+                    &mut self.cache,
                     dest,
                     &frags,
                     &nacks,
-                    &mut scratch_nacks,
+                    &mut self.scratch_nacks,
                 );
-                delivered += n;
+                self.delivered += n;
                 if let Some(pn) = notify {
                     pn.fragments_done(finalized, nack_count > 0);
                 }
             }
         }
     }
-    delivered
 }
 
 impl AsyncNetwork {
@@ -985,16 +893,10 @@ impl AsyncNetwork {
                 ))
             })
             .collect();
-        let faults = (!endpoint_config.fault_model.is_none()).then(|| FaultPlan {
-            model: endpoint_config.fault_model,
-            budget: endpoint_config.retry_budget.max(1),
-            seed: endpoint_config.fault_seed,
-            stats: Arc::new(FaultStats::default()),
-            pending_retries: AtomicU64::new(0),
-        });
         let telemetry = endpoint_config
             .telemetry
             .then(|| Arc::new(Telemetry::new()));
+        let link = Link::new(&endpoint_config, &telemetry);
         let shared = Arc::new(Shared {
             endpoints: RwLock::new(HashMap::new()),
             generation: AtomicU64::new(1),
@@ -1004,7 +906,7 @@ impl AsyncNetwork {
             queues,
             ring_stats,
             endpoint_config,
-            faults,
+            link,
             telemetry,
         });
         let workers = (0..shared.queues.len())
@@ -1100,7 +1002,7 @@ impl AsyncNetwork {
 
     /// The network-wide fault counters, when fault injection is active.
     pub fn fault_stats(&self) -> Option<Arc<FaultStats>> {
-        self.shared.faults.as_ref().map(|p| p.stats.clone())
+        self.shared.link.as_ref().map(|link| link.stats().clone())
     }
 
     /// The network-wide telemetry recorder, when
@@ -1214,7 +1116,8 @@ impl AsyncInitiator {
         offset: usize,
         data: &[u8],
     ) -> Result<()> {
-        self.submit(dest, vaddr, offset, data, None)
+        self.submit(dest, vaddr, offset, data.len(), || self.stage(data), false)?;
+        Ok(())
     }
 
     /// Notified put at offset 0: flag-the-future and data in one
@@ -1237,14 +1140,8 @@ impl AsyncInitiator {
         offset: usize,
         data: &[u8],
     ) -> Result<PutFuture> {
-        let fragments = if data.len() <= self.shared.mtu {
-            1
-        } else {
-            data.len().div_ceil(self.shared.mtu) as u64
-        };
-        let notify = PutNotify::new(fragments);
-        self.submit(dest, vaddr, offset, data, Some(notify.clone()))?;
-        Ok(PutFuture { notify, fragments })
+        self.submit(dest, vaddr, offset, data.len(), || self.stage(data), true)
+            .map(|f| f.expect("notified submission returns a future"))
     }
 
     /// `RVMA_Put` of an owned payload with a size-adaptive lane choice.
@@ -1264,10 +1161,8 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<()> {
-        if data.len() <= self.shared.endpoint_config.eager_threshold {
-            return self.submit(dest, vaddr, offset, &data, None);
-        }
-        self.submit_shared(dest, vaddr, offset, data, None)
+        self.submit_bytes(dest, vaddr, offset, data, false)?;
+        Ok(())
     }
 
     /// Notified zero-copy put: [`put_bytes_at`](AsyncInitiator::put_bytes_at)
@@ -1280,97 +1175,40 @@ impl AsyncInitiator {
         offset: usize,
         data: Bytes,
     ) -> Result<PutFuture> {
-        let fragments = if data.len() <= self.shared.mtu {
-            1
-        } else {
-            data.len().div_ceil(self.shared.mtu) as u64
-        };
-        let notify = PutNotify::new(fragments);
-        if data.len() <= self.shared.endpoint_config.eager_threshold {
-            self.submit(dest, vaddr, offset, &data, Some(notify.clone()))?;
-        } else {
-            self.submit_shared(dest, vaddr, offset, data, Some(notify.clone()))?;
-        }
-        Ok(PutFuture { notify, fragments })
+        self.submit_bytes(dest, vaddr, offset, data, true)
+            .map(|f| f.expect("notified submission returns a future"))
     }
 
-    /// Zero-copy submission: fragments carry slices of the caller's
-    /// shared allocation instead of pooled copies. Mirrors
-    /// [`submit`](AsyncInitiator::submit) in every other respect
-    /// (routing, telemetry, shuffle, backpressure).
-    fn submit_shared(
+    /// The lane choice of an owned payload: staged at or below the eager
+    /// threshold, zero-copy slices of `data` above it.
+    fn submit_bytes(
         &self,
         dest: NodeAddr,
         vaddr: VirtAddr,
         offset: usize,
-        payload: Bytes,
-        notify: Option<Arc<PutNotify>>,
-    ) -> Result<()> {
-        let queue_idx = self.resolve_route(dest, vaddr)?;
-        let queue = &self.shared.queues[queue_idx];
-        let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
-        let src_key = telemetry::initiator_key(self.src.nid, self.src.pid);
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::Submit,
-            src_key,
-            op_id,
-            payload.len() as u64,
-        );
-        if payload.len() <= self.shared.mtu {
-            let frag = Fragment {
-                initiator: self.src,
-                op_id,
-                dst_vaddr: vaddr,
-                op_total_len: payload.len() as u64,
-                offset,
-                data: payload,
-            };
-            queue
-                .push(WireMsg::Deliver {
-                    dest,
-                    frag,
-                    nacks: self.nacks.clone(),
-                    attempt: 0,
-                    notify,
-                })
-                .map_err(|_| RvmaError::UnknownDestination)?;
-            telemetry::record(
-                &self.shared.telemetry,
-                EventKind::RingEnqueue,
-                src_key,
-                op_id,
-                queue_idx as u64,
-            );
-            return Ok(());
-        }
-        let frags = self.fragment(vaddr, op_id, offset, &payload);
-        queue
-            .push(WireMsg::DeliverBatch {
-                dest,
-                frags,
-                nacks: self.nacks.clone(),
-                notify,
-            })
-            .map_err(|_| RvmaError::UnknownDestination)?;
-        telemetry::record(
-            &self.shared.telemetry,
-            EventKind::RingEnqueue,
-            src_key,
-            op_id,
-            queue_idx as u64,
-        );
-        Ok(())
+        data: Bytes,
+        notify: bool,
+    ) -> Result<Option<PutFuture>> {
+        let len = data.len();
+        let eager = len <= self.shared.endpoint_config.eager_threshold;
+        let payload = move || if eager { self.stage(&data) } else { data };
+        self.submit(dest, vaddr, offset, len, payload, notify)
     }
 
+    /// The one submission body. `payload` yields the `len` bytes to send
+    /// (a staged copy or a zero-copy slice) and runs only after the route
+    /// resolved, so a put to an unknown destination stages nothing. With
+    /// `notify` the put carries a delivery countdown and returns its
+    /// [`PutFuture`].
     fn submit(
         &self,
         dest: NodeAddr,
         vaddr: VirtAddr,
         offset: usize,
-        data: &[u8],
-        notify: Option<Arc<PutNotify>>,
-    ) -> Result<()> {
+        len: usize,
+        payload: impl FnOnce() -> Bytes,
+        notify: bool,
+    ) -> Result<Option<PutFuture>> {
         let queue_idx = self.resolve_route(dest, vaddr)?;
         let queue = &self.shared.queues[queue_idx];
         let op_id = self.next_op.fetch_add(1, Ordering::Relaxed);
@@ -1380,52 +1218,49 @@ impl AsyncInitiator {
             EventKind::Submit,
             src_key,
             op_id,
-            data.len() as u64,
+            len as u64,
         );
-        let mtu = self.shared.mtu;
+        let future = notify.then(|| {
+            let fragments = fragment_count(len, self.shared.mtu);
+            PutFuture {
+                notify: PutNotify::new(fragments),
+                fragments,
+            }
+        });
+        let notify = future.as_ref().map(|f| f.notify.clone());
+        let data = payload();
         // One `nacks` Arc clone per submission (it used to be one per
         // fragment): the Arc travels with the message because the wire
         // worker that eventually discards a fragment must publish the NACK
         // into *this* initiator's sink without holding any reference to
         // the initiator itself, which may be long gone by delivery time.
-        if data.len() <= mtu {
+        let msg = if len <= self.shared.mtu {
             // Inline fast path: one fragment, no fragment vector, no
             // shuffle. Zero-length puts take this path too.
             let frag = Fragment {
                 initiator: self.src,
                 op_id,
                 dst_vaddr: vaddr,
-                op_total_len: data.len() as u64,
+                op_total_len: len as u64,
                 offset,
-                data: self.stage(data),
+                data,
             };
-            queue
-                .push(WireMsg::Deliver {
-                    dest,
-                    frag,
-                    nacks: self.nacks.clone(),
-                    attempt: 0,
-                    notify: notify.clone(),
-                })
-                .map_err(|_| RvmaError::UnknownDestination)?;
-            telemetry::record(
-                &self.shared.telemetry,
-                EventKind::RingEnqueue,
-                src_key,
-                op_id,
-                queue_idx as u64,
-            );
-            return Ok(());
-        }
-        let frags = self.fragment(vaddr, op_id, offset, &self.stage(data));
-        queue
-            .push(WireMsg::DeliverBatch {
+            WireMsg::Deliver {
                 dest,
-                frags,
+                frag,
                 nacks: self.nacks.clone(),
-                notify: notify.clone(),
-            })
-            .map_err(|_| RvmaError::UnknownDestination)?;
+                attempt: 0,
+                notify,
+            }
+        } else {
+            WireMsg::DeliverBatch {
+                dest,
+                frags: self.fragment(vaddr, op_id, offset, &data),
+                nacks: self.nacks.clone(),
+                notify,
+            }
+        };
+        queue.push(msg).map_err(|_| RvmaError::UnknownDestination)?;
         telemetry::record(
             &self.shared.telemetry,
             EventKind::RingEnqueue,
@@ -1433,7 +1268,7 @@ impl AsyncInitiator {
             op_id,
             queue_idx as u64,
         );
-        Ok(())
+        Ok(future)
     }
 
     /// Copy `data` into pooled staging storage (the eager lane).
@@ -1688,6 +1523,7 @@ mod tests {
     use super::*;
     use crate::buffer::Threshold;
     use crate::mailbox::MailboxMode;
+    use crate::retry::FaultModel;
 
     #[test]
     fn async_put_completes_cross_thread() {

@@ -27,9 +27,9 @@ use std::time::Duration;
 
 use rvma::core::transport::DeliveryOrder;
 use rvma::core::{
-    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, FaultModel, FaultStats, LoopbackNetwork,
-    NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry, Threshold, Transport,
-    VirtAddr,
+    shm_pair, shm_supported, AsyncNetwork, EndpointConfig, EventKind, FaultModel, FaultStats,
+    LoopbackNetwork, NackReason, NodeAddr, RvmaEndpoint, RvmaError, ShmClient, Telemetry,
+    Threshold, Transport, VirtAddr,
 };
 
 const SERVER: NodeAddr = NodeAddr::node(0);
@@ -92,6 +92,16 @@ impl Holder {
             Holder::Inline(net) => Some(net.fault_stats()),
             Holder::Threaded(net) => net.fault_stats(),
             Holder::Shm(server) => server.fault_stats(),
+        }
+    }
+
+    /// The backend's network-level recorder, when `EndpointConfig::telemetry`
+    /// armed it.
+    fn telemetry(&self) -> Option<Arc<Telemetry>> {
+        match self {
+            Holder::Inline(net) => net.telemetry(),
+            Holder::Threaded(net) => net.telemetry(),
+            Holder::Shm(server) => server.telemetry(),
         }
     }
 }
@@ -273,7 +283,19 @@ fn nack_parity_across_backends() {
 /// replay-stable. The shm server's recorder covers the whole receiver
 /// datapath — Retransmit/WireDeliver/EpochComplete/handoff — because one
 /// worker thread records everything and the client holds no recorder.
-fn replay_run(backend: &str, seed: u64) -> Option<Vec<(rvma::core::EventKind, u64, u64, u64)>> {
+fn replay_run(backend: &str, seed: u64) -> Option<Vec<(EventKind, u64, u64, u64)>> {
+    let (_holder, recorder) = lockstep_run(backend, seed, matches!(backend, "inline" | "shm"))?;
+    let snap = recorder.snapshot();
+    assert_eq!(snap.dropped, 0, "[{backend}] replay run overflowed a shard");
+    Some(snap.canonical_sequence())
+}
+
+/// The lockstep faulted scenario behind the replay tests: eight epochs of
+/// one single-fragment put each, flushed before the next, through drop
+/// 10 % + dup 10 %. `net_telemetry` arms the backend's network-level
+/// recorder. Returns the backend holder and the recorder `replay_run`
+/// compares (see there).
+fn lockstep_run(backend: &str, seed: u64, net_telemetry: bool) -> Option<(Holder, Arc<Telemetry>)> {
     const EPOCHS: usize = 8;
     // Exactly one fragment per put: with lockstep flushes there is never
     // more than one fragment in flight, so the worker's ring-vs-deferred
@@ -286,7 +308,7 @@ fn replay_run(backend: &str, seed: u64) -> Option<Vec<(rvma::core::EventKind, u6
         ..FaultModel::NONE
     };
     let mut cfg = faulted_cfg(model, seed);
-    cfg.telemetry = matches!(backend, "inline" | "shm");
+    cfg.telemetry = net_telemetry;
     let (holder, ep, t) = fixture(backend, 16, cfg)?;
     let recorder: Arc<Telemetry> = match &holder {
         Holder::Inline(net) => net.telemetry().expect("inline telemetry on"),
@@ -306,9 +328,7 @@ fn replay_run(backend: &str, seed: u64) -> Option<Vec<(rvma::core::EventKind, u6
         t.flush().unwrap();
         note.poll().expect("epoch complete after flush");
     }
-    let snap = recorder.snapshot();
-    assert_eq!(snap.dropped, 0, "[{backend}] replay run overflowed a shard");
-    Some(snap.canonical_sequence())
+    Some((holder, recorder))
 }
 
 /// Same seed ⇒ identical canonical event sequence, run to run, on every
@@ -327,6 +347,44 @@ fn same_seed_replay_identity_per_backend() {
             );
             assert_eq!(a, b, "[{backend} seed={seed}] same-seed runs diverged");
         }
+    }
+}
+
+/// The order in which the wire workers consume the fault dice, pinned.
+/// `same_seed_replay_identity_per_backend` checks run-to-run identity
+/// within one build; these constants also catch a change that reorders,
+/// adds or skips rolls. With one fragment in flight the counters and the
+/// retransmission count are a pure function of (backend, seed).
+#[test]
+fn lockstep_fault_dice_are_pinned_per_backend() {
+    // (backend, seed, transmitted, dropped, duplicated, Retransmit events)
+    const PINNED: [(&str, u64, u64, u64, u64, usize); 4] = [
+        ("threaded", SEEDS[0], 9, 1, 1, 1),
+        ("threaded", SEEDS[1], 8, 0, 0, 0),
+        ("shm", SEEDS[0], 9, 1, 1, 1),
+        ("shm", SEEDS[1], 8, 0, 0, 0),
+    ];
+    for (backend, seed, transmitted, dropped, duplicated, retransmits) in PINNED {
+        let Some((holder, _)) = lockstep_run(backend, seed, true) else {
+            continue;
+        };
+        let stats = holder.fault_stats().expect("fault model is active");
+        let snap = holder.telemetry().expect("telemetry on").snapshot();
+        assert_eq!(snap.dropped, 0, "[{backend}] pinned run overflowed a shard");
+        let got = (
+            stats.transmitted(),
+            stats.dropped(),
+            stats.duplicated(),
+            snap.events
+                .iter()
+                .filter(|e| e.kind == EventKind::Retransmit)
+                .count(),
+        );
+        assert_eq!(
+            got,
+            (transmitted, dropped, duplicated, retransmits),
+            "[{backend} seed={seed}] (transmitted, dropped, duplicated, retransmits) moved"
+        );
     }
 }
 
